@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-scale bench-scale-quick examples clean doc lint analyze analyze-baseline determinism
+.PHONY: all build test bench bench-scale bench-scale-quick perfbench-smoke examples clean doc lint analyze analyze-baseline determinism
 
 all: build
 
@@ -25,6 +25,14 @@ bench-scale:
 
 bench-scale-quick:
 	dune exec bench/main.exe -- --scale-only --scale-quick
+
+# Every perfbench workload at test size for a few seconds.  run.py
+# exits 1 when a ledger, digest or metric-name check fails
+# (perfbench/README.md).
+perfbench-smoke:
+	for w in campaign-syntax steady-syntax roaming-location; do \
+	  python3 perfbench/run.py --workload $$w --size tiny --seconds 3 --trace 0 || exit 1; \
+	done
 
 lint:
 	dune build bin/lint

@@ -90,6 +90,15 @@ val current_location : t -> Naming.Name.t -> Netsim.Graph.node
 
 val primary_host : t -> Naming.Name.t -> Netsim.Graph.node
 
+val nearest_servers : t -> Netsim.Graph.node -> Netsim.Graph.node list
+(** The servers of the host's region, nearest first (§3.2: "a user
+    always contacts the nearest active server").  Ordered by static
+    distance over the site graph, ties in region order, computed once
+    per host: link and node outages do not reorder it, so callers that
+    need an {e active} server filter it by {!Netsim.Net.is_up} — as
+    {!login} does.  Submissions and the retrieval-cost relay read it
+    too. *)
+
 (** {1 Operation} *)
 
 val login : t -> Naming.Name.t -> host:Netsim.Graph.node -> User_agent.check_stats

@@ -201,6 +201,88 @@ let test_config_hash_groups () =
        (fun s -> List.mem s (Mail.Location_system.server_nodes sys))
        (Mail.Location_system.authority_of sys u))
 
+let static_order g servers host =
+  let tree = Netsim.Shortest_path.dijkstra g host in
+  List.filter
+    (fun s -> String.equal (Netsim.Graph.region g s) (Netsim.Graph.region g host))
+    servers
+  |> List.stable_sort (fun a b ->
+         Float.compare
+           (Netsim.Shortest_path.distance tree a)
+           (Netsim.Shortest_path.distance tree b))
+
+let test_nearest_servers_static_oracle () =
+  let site = hier_site 13 in
+  let g = site.Netsim.Topology.graph in
+  let sys = Mail.Location_system.create site in
+  let net = Mail.Location_system.net sys in
+  let hosts = List.map fst site.Netsim.Topology.hosts in
+  let check_all label =
+    List.iter
+      (fun h ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: host %d" label h)
+          (static_order g site.Netsim.Topology.servers h)
+          (Mail.Location_system.nearest_servers sys h))
+      hosts
+  in
+  Alcotest.(check bool) "multi-region" true (List.length (Netsim.Graph.regions g) > 1);
+  check_all "fresh";
+  (* Cut the host's first link towards its nearest server and crash
+     that server: the order is static, so it must not move. *)
+  let host = List.find (fun h -> Netsim.Graph.degree g h >= 2) hosts in
+  let nearest = List.hd (Mail.Location_system.nearest_servers sys host) in
+  let hop = Option.get (Netsim.Net.first_hop net ~src:host ~dst:nearest) in
+  Netsim.Net.set_link_down net host hop;
+  Netsim.Net.set_down net nearest;
+  check_all "after outages";
+  (* login informs the nearest server that is up *)
+  let expected =
+    List.find (fun s -> s <> nearest) (Mail.Location_system.nearest_servers sys host)
+  in
+  Alcotest.(check bool) "reachable" true
+    (Float.is_finite (Netsim.Net.distance net host expected));
+  let received = ref [] in
+  List.iter
+    (fun s ->
+      Netsim.Net.set_handler net s (fun ~time:_ ~src _ -> received := (s, src) :: !received))
+    (Mail.Location_system.server_nodes sys);
+  let u =
+    List.find
+      (fun u -> String.equal (Naming.Name.region u) (Netsim.Graph.region g host))
+      (Mail.Location_system.users sys)
+  in
+  ignore (Mail.Location_system.login sys u ~host);
+  Mail.Location_system.run_until sys 500.;
+  Alcotest.(check (list (pair int int))) "update sent to nearest up server"
+    [ (expected, host) ] !received
+
+(* Minor words per [check_mail] on a drained system, after one warm-up
+   check per user fills the route caches. *)
+let words_per_check ~regions =
+  let spec =
+    Netsim.Topology.sized_hierarchy ~regions ~hosts_per_region:16 ~servers_per_region:4
+      ~gateways_per_region:2 ~degree:8. ()
+  in
+  let site = Netsim.Topology.scale_site ~rng:(Dsim.Rng.create 21) spec in
+  let config = { Mail.Location_system.default_config with users_per_host = 2 } in
+  let sys = Mail.Location_system.create ~config site in
+  Mail.Location_system.quiesce sys;
+  let users = List.filteri (fun i _ -> i < 64) (Mail.Location_system.users sys) in
+  List.iter (fun u -> ignore (Mail.Location_system.check_mail sys u)) users;
+  let rounds = 8 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    List.iter (fun u -> ignore (Mail.Location_system.check_mail sys u)) users
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (rounds * List.length users)
+
+let test_check_allocation_independent_of_site_size () =
+  let small = words_per_check ~regions:2 and large = words_per_check ~regions:8 in
+  if large /. small >= 1.5 then
+    Alcotest.failf "minor words per check grow with the site: %.1f (2 regions) -> %.1f (8)"
+      small large
+
 let suite =
   [
     ( "location_system",
@@ -222,5 +304,9 @@ let suite =
         Alcotest.test_case "retrieval cost accounting" `Quick
           test_retrieval_cost_grows_when_roaming;
         Alcotest.test_case "custom hash groups" `Quick test_config_hash_groups;
+        Alcotest.test_case "nearest servers match a static oracle" `Quick
+          test_nearest_servers_static_oracle;
+        Alcotest.test_case "check allocation independent of site size" `Quick
+          test_check_allocation_independent_of_site_size;
       ] );
   ]
