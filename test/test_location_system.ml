@@ -166,6 +166,45 @@ let test_mail_to_old_name_redirected () =
   let st = Mail.Location_system.check_mail sys new_name in
   Alcotest.(check int) "retrieved at new identity" 1 st.Mail.User_agent.retrieved
 
+let test_chained_migration () =
+  (* A -> B -> C across three regions: mail to A must follow both
+     redirects to C. *)
+  let sys = make 9 in
+  let g = Mail.Location_system.graph sys in
+  let host_in r =
+    List.hd
+      (List.filter (fun v -> Netsim.Graph.kind g v = Netsim.Graph.Host)
+         (Netsim.Graph.nodes_in_region g r))
+  in
+  let a = List.hd (in_region sys "r0") in
+  let b = Mail.Location_system.migrate_region sys a ~new_host:(host_in "r1") in
+  let c = Mail.Location_system.migrate_region sys b ~new_host:(host_in "r2") in
+  Alcotest.(check string) "final region" "r2" (Naming.Name.region c);
+  let sender = List.nth (in_region sys "r0") 1 in
+  let m = Mail.Location_system.submit sys ~sender ~recipient:a () in
+  Mail.Location_system.quiesce sys;
+  Alcotest.(check bool) "rewritten to the final name" true
+    (Naming.Name.equal m.Mail.Message.recipient c);
+  let st = Mail.Location_system.check_mail sys c in
+  Alcotest.(check int) "final identity retrieves once" 1 st.Mail.User_agent.retrieved;
+  Alcotest.(check bool) "rename handled for the sender" true
+    (Dsim.Stats.Counter.get (Mail.Location_system.counters sys) "rename_notices" >= 1);
+  Alcotest.(check bool) "ledger ok" true
+    (Mail.Ledger.check (Mail.Location_system.ledger sys)).Mail.Ledger.ok
+
+let test_unknown_users_rejected () =
+  let sys = make 1 in
+  let known = user sys 0 in
+  let ghost = Naming.Name.make ~region:"r0" ~host:"nowhere" ~user:"ghost" in
+  (try
+     ignore (Mail.Location_system.submit sys ~sender:ghost ~recipient:known ());
+     Alcotest.fail "unknown sender accepted"
+   with Invalid_argument _ -> ());
+  try
+    ignore (Mail.Location_system.submit sys ~sender:known ~recipient:ghost ());
+    Alcotest.fail "unknown recipient accepted"
+  with Invalid_argument _ -> ()
+
 let test_retrieval_cost_grows_when_roaming () =
   let sys = make 12 in
   let g = Mail.Location_system.graph sys in
@@ -299,6 +338,9 @@ let suite =
           test_notification_follows_user;
         Alcotest.test_case "hash rebalancing" `Quick test_rebalance_hash;
         Alcotest.test_case "cross-region migration" `Quick test_migrate_region;
+        Alcotest.test_case "chained migration follows both redirects" `Quick
+          test_chained_migration;
+        Alcotest.test_case "unknown users rejected" `Quick test_unknown_users_rejected;
         Alcotest.test_case "old-name mail redirected" `Quick
           test_mail_to_old_name_redirected;
         Alcotest.test_case "retrieval cost accounting" `Quick

@@ -126,6 +126,31 @@ let test_migration_within_region () =
     Alcotest.fail "old name still a user"
   with Invalid_argument _ -> ()
 
+let test_chained_migration () =
+  (* A -> B -> C: mail to A must follow both redirects to C. *)
+  let sys = make () in
+  let g = Mail.Syntax_system.graph sys in
+  let host label =
+    List.find
+      (fun v -> String.equal (Netsim.Graph.label g v) label)
+      (Netsim.Graph.nodes_of_kind g Netsim.Graph.Host)
+  in
+  let a = user sys 29 in
+  let b = Mail.Syntax_system.migrate_user sys a ~new_host:(host "H1") in
+  let c = Mail.Syntax_system.migrate_user sys b ~new_host:(host "H2") in
+  Alcotest.(check string) "first hop" "r0.H1.u4-m1" (Naming.Name.to_string b);
+  Alcotest.(check string) "second hop" "r0.H2.u4-m1" (Naming.Name.to_string c);
+  let m = Mail.Syntax_system.submit sys ~sender:(user sys 0) ~recipient:a () in
+  Mail.Syntax_system.quiesce sys;
+  Alcotest.(check bool) "rewritten to the final name" true
+    (Naming.Name.equal m.Mail.Message.recipient c);
+  let st = Mail.Syntax_system.check_mail sys c in
+  Alcotest.(check int) "final identity retrieves once" 1 st.Mail.User_agent.retrieved;
+  Alcotest.(check bool) "sender told about the rename" true
+    (Dsim.Stats.Counter.get (Mail.Syntax_system.counters sys) "rename_notices" >= 1);
+  Alcotest.(check bool) "ledger ok" true
+    (Mail.Ledger.check (Mail.Syntax_system.ledger sys)).Mail.Ledger.ok
+
 let test_add_and_remove_user () =
   let sys = make () in
   let newbie = Mail.Syntax_system.add_user sys ~host:0 ~user:"newbie" in
@@ -248,6 +273,8 @@ let suite =
         Alcotest.test_case "migration with redirection" `Quick
           test_migration_within_region;
         Alcotest.test_case "rename notice to sender" `Quick test_rename_notice_sent;
+        Alcotest.test_case "chained migration follows both redirects" `Quick
+          test_chained_migration;
         Alcotest.test_case "add and remove user at runtime" `Quick
           test_add_and_remove_user;
         Alcotest.test_case "poll counters" `Quick test_polls_counted;
