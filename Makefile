@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-scale bench-scale-quick perfbench-smoke examples clean doc lint analyze analyze-baseline determinism
+.PHONY: all build test bench bench-scale bench-scale-quick perfbench-smoke examples clean doc lint analyze analyze-baseline determinism loc
 
 all: build
 
@@ -62,6 +62,11 @@ examples:
 	dune exec examples/roaming_users.exe
 	dune exec examples/marketing_blast.exe
 	dune exec examples/directory_assistance.exe
+
+# Non-test source size, the number ROADMAP.md tracks: lines of every
+# .ml/.mli under lib, bin and bench.
+loc:
+	@find lib bin bench \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
 
 clean:
 	dune clean

@@ -51,7 +51,7 @@ let balance_cmd =
 (* --- getmail ----------------------------------------------------------- *)
 
 let getmail_cmd =
-  let run seed failure_rate duration mail_count policy faults metrics_file
+  let run seed duration mail_count policy faults metrics_file
       trace_file trace_summary resolution timeseries_file stable =
     let retrieval =
       match policy with
@@ -73,7 +73,6 @@ let getmail_cmd =
       {
         Mail.Scenario.default_spec with
         seed;
-        failure_rate;
         duration;
         mail_count;
         retrieval;
@@ -133,9 +132,6 @@ let getmail_cmd =
                      (Telemetry.Json.of_string (Dsim.Trace.json_of_record r))))
               o.Mail.Scenario.events)
   in
-  let rate =
-    Arg.(value & opt float 0. & info [ "failure-rate" ] ~doc:"Server outage rate.")
-  in
   let duration = Cmdline.duration in
   let count = Cmdline.messages ~default:300 in
   let policy =
@@ -178,7 +174,7 @@ let getmail_cmd =
   Cmd.v
     (Cmd.info "getmail" ~doc:"Drive a design-1 scenario and report §4 metrics (C1/C2).")
     Term.(
-      const run $ seed_arg $ rate $ duration $ count $ policy $ faults
+      const run $ seed_arg $ duration $ count $ policy $ faults
       $ metrics_file $ trace_file $ trace_summary $ Cmdline.resolution
       $ Cmdline.timeseries_file $ Cmdline.stable)
 
@@ -772,8 +768,12 @@ let store_cmd =
                [ i ]))
     done;
     if replicas > 1 then
-      Netsim.Failure.schedule_outage (Mail.Name_store.net store)
-        { Netsim.Failure.node = replicas - 1; start = 300.; duration = 200. };
+      Netsim.Fault.apply (Mail.Name_store.net store)
+        {
+          Netsim.Fault.windows =
+            [ { target = Node (replicas - 1); kind = "crash"; start = 300.; duration = 200. } ];
+          horizon = 1000.;
+        };
     Dsim.Engine.run engine;
     Printf.printf "replicas          %d\n" replicas;
     Printf.printf "writes            %d\n" writes;

@@ -5,8 +5,6 @@ type spec = {
   duration : float;
   mail_count : int;
   check_period : float;
-  failure_rate : float;
-  mean_outage : float;
   sender_skew : float;
   retrieval : retrieval_mode;
   faults : Netsim.Fault.campaign option;
@@ -20,8 +18,6 @@ let default_spec =
     duration = 5000.;
     mail_count = 300;
     check_period = 100.;
-    failure_rate = 0.;
-    mean_outage = 150.;
     sender_skew = 0.9;
     retrieval = Get_mail;
     faults = None;
@@ -85,7 +81,8 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
     (module M : System.S with type t = s) (sys : s) spec =
   let rng = Dsim.Rng.create spec.seed in
   let traffic_rng = Dsim.Rng.split rng in
-  let failure_rng = Dsim.Rng.split rng in
+  (* Unused; split so [roam_rng] stays the run seed's third stream. *)
+  ignore (Dsim.Rng.split rng);
   let roam_rng = Dsim.Rng.split rng in
   let engine = M.engine sys in
   let users = M.users sys in
@@ -124,12 +121,6 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       in
       arm phase)
     users_arr;
-  (* Failure injection on servers. *)
-  let outages =
-    Netsim.Failure.random_outages ~rng:failure_rng ~nodes:(M.server_nodes sys)
-      ~rate:spec.failure_rate ~mean_duration:spec.mean_outage ~horizon:spec.duration
-  in
-  Netsim.Failure.schedule_outages (M.net sys) outages;
   (* Fault campaign, if any: compiled deterministically from the
      campaign's own seed (salted with the run seed) and armed on the
      network; every effective status flip is tallied by fault kind. *)
@@ -191,18 +182,15 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
   (* Run, restore, drain, final checks. *)
   Dsim.Engine.run ~until:spec.duration engine;
   Option.iter (Netsim.Fault.heal (M.net sys)) fault_schedule;
-  List.iter (fun n -> Netsim.Net.set_up (M.net sys) n) (M.server_nodes sys);
   M.quiesce sys;
   List.iter (fun name -> ignore (check name)) users;
   M.quiesce sys;
   ignore (M.compact sys);
   let report = Evaluation.of_system (module M) sys in
-  let fault_outages =
-    match fault_schedule with
-    | None -> []
-    | Some sched -> Netsim.Fault.node_outages sched
+  let outages =
+    Option.value fault_schedule
+      ~default:{ Netsim.Fault.windows = []; horizon = spec.duration }
   in
-  let all_outages = outages @ fault_outages in
   (* Raw infrastructure health: mean single-node uptime. *)
   let server_uptime =
     let nodes = M.server_nodes sys in
@@ -211,8 +199,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       List.fold_left
         (fun acc node ->
           acc
-          +. Netsim.Failure.availability ~outages:all_outages ~node
-               ~horizon:spec.duration)
+          +. Netsim.Fault.availability outages node)
         0. nodes
       /. float_of_int (List.length nodes)
   in
@@ -227,10 +214,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       match Hashtbl.find_opt memo chain with
       | Some a -> a
       | None ->
-          let a =
-            Netsim.Failure.group_availability ~outages:all_outages ~nodes:chain
-              ~horizon:spec.duration
-          in
+          let a = Netsim.Fault.group_availability outages chain in
           Hashtbl.replace memo chain a;
           a
     in

@@ -3,10 +3,10 @@
     not tabulate — reproduced here for experiments C1, C2 and C6.
 
     A scenario drives a system with Poisson mail traffic between
-    Zipf-skewed users, periodic mailbox checks, and random server
-    outages; at the horizon all servers are restored, the engine
-    drains, and every user performs a final check so that the paper's
-    losslessness claim can be asserted exactly. *)
+    Zipf-skewed users, periodic mailbox checks, and an optional
+    {!Netsim.Fault} campaign; at the horizon every fault is healed, the
+    engine drains, and every user performs a final check so that the
+    paper's losslessness claim can be asserted exactly. *)
 
 (** How users retrieve mail — the C2 comparison axis. *)
 type retrieval_mode =
@@ -19,14 +19,14 @@ type spec = {
   duration : float;
   mail_count : int;  (** total messages to inject over the run. *)
   check_period : float;  (** per-user mailbox-check interval. *)
-  failure_rate : float;  (** outage starts per server per unit time. *)
-  mean_outage : float;  (** mean outage duration. *)
   sender_skew : float;  (** Zipf exponent for sender activity. *)
   retrieval : retrieval_mode;
   faults : Netsim.Fault.campaign option;
       (** optional deterministic fault campaign (crashes, link cuts,
           partitions, bursts — see {!Netsim.Fault}), compiled with
-          [~salt:seed] and armed on top of the legacy random outages. *)
+          [~salt:seed] and armed on the network: the run's only source
+          of outages.  Random server failures at rate [r] with mean
+          repair [m] are the campaign [crash:r/m]. *)
   sampling : float option;
       (** virtual-time resolution of the observability sampler: when
           set, a periodic engine event (category ["scenario.sample"])
@@ -41,9 +41,8 @@ type spec = {
 }
 
 val default_spec : spec
-(** seed 1, duration 5000, 300 messages, checks every 100, no
-    failures, skew 0.9, GetMail, no fault campaign, no sampling, no
-    monitors. *)
+(** seed 1, duration 5000, 300 messages, checks every 100, skew 0.9,
+    GetMail, no fault campaign, no sampling, no monitors. *)
 
 (** Per-scenario aggregates beyond the generic report. *)
 type outcome = {
@@ -52,7 +51,7 @@ type outcome = {
       (** mailbox availability under replication: mean over users of
           the fraction of the horizon during which at least one member
           of their authority chain was up
-          ({!Netsim.Failure.group_availability}).  With replication 1
+          ({!Netsim.Fault.group_availability}).  With replication 1
           this degenerates to the per-primary uptime. *)
   server_uptime : float;
       (** raw infrastructure health: mean single-node uptime across
@@ -110,10 +109,9 @@ val drive :
 (** The one scenario driver, shared by every design through
     {!System.S}: inject the mail workload, arm phase-shifted periodic
     checks (calling [on_check_tick] just before each — the roaming
-    hook of designs 2/3), schedule random server outages and the fault
-    campaign (if any), run to the horizon, heal all faults and restore
-    all servers, drain, final-check every user, compact, check the
-    delivery ledger, and snapshot metrics.  Fault windows are tallied
+    hook of designs 2/3), arm the fault campaign (if any), run to the
+    horizon, heal all faults, drain, final-check every user, compact,
+    check the delivery ledger, and snapshot metrics.  Fault windows are tallied
     per kind as [fault_<kind>] counters and emitted as ["fault"] spans
     on the tracer. *)
 

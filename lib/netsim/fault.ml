@@ -1,7 +1,6 @@
-(* Deterministic fault campaigns: a declarative generalisation of
-   {!Failure} from independent node outages to link cuts, region
-   partitions, crash/restart schedules with configurable repair
-   distributions, and correlated burst failures.
+(* Deterministic fault campaigns: independent server crashes, link
+   cuts, region partitions and correlated burst failures, with
+   configurable repair distributions.
 
    A campaign is a pure value; [compile] expands it against a concrete
    topology into a [schedule] of timed down/up windows using only the
@@ -35,8 +34,8 @@ let draw_repair rng = function
   | Fixed d -> d
   | Exp_mean m -> Dsim.Rng.exponential rng (1. /. m)
 
-(* Poisson-process fault starts on one target, as in
-   [Failure.random_outages], but with a pluggable repair law. *)
+(* Poisson-process fault starts on one target, each lasting a draw
+   from the repair law. *)
 let poisson_windows rng ~rate ~repair ~horizon ~kind target =
   if rate <= 0. then []
   else begin
@@ -96,13 +95,71 @@ let compile ?(salt = 0) ~graph ~servers ~horizon campaign =
   let windows = List.concat_map expand campaign.faults in
   { windows; horizon }
 
-let node_outages sched =
-  List.filter_map
-    (fun w ->
-      match w.target with
-      | Node node -> Some { Failure.node; start = w.start; duration = w.duration }
-      | Link _ -> None)
-    sched.windows
+(* --- availability --- *)
+
+(* The node's windows clipped to [0, horizon], sorted, with overlaps
+   merged into disjoint intervals. *)
+let down_intervals sched node =
+  let horizon = sched.horizon in
+  let mine =
+    List.filter
+      (fun w -> match w.target with Node v -> v = node | Link _ -> false)
+      sched.windows
+    |> List.map (fun w -> (w.start, Float.min horizon (w.start +. w.duration)))
+    |> List.filter (fun (s, e) -> s < horizon && e > s)
+    |> List.sort (fun (s1, e1) (s2, e2) ->
+           match Float.compare s1 s2 with 0 -> Float.compare e1 e2 | c -> c)
+  in
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | (s, e) :: rest ->
+        let rec absorb e = function
+          | (s', e') :: more when s' <= e -> absorb (Float.max e e') more
+          | more -> (e, more)
+        in
+        let e, more = absorb e rest in
+        merge ((s, e) :: acc) more
+  in
+  merge [] mine
+
+let measure intervals = List.fold_left (fun acc (s, e) -> acc +. (e -. s)) 0. intervals
+
+let availability sched node =
+  let horizon = sched.horizon in
+  if horizon <= 0. then 1.
+  else begin
+    let down = measure (down_intervals sched node) in
+    (horizon -. down) /. horizon
+  end
+
+(* Intersection of two sorted disjoint interval lists. *)
+let intersect a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], _ | _, [] -> List.rev acc
+    | (s1, e1) :: ra, (s2, e2) :: rb ->
+        let s = Float.max s1 s2 and e = Float.min e1 e2 in
+        let acc = if s < e then (s, e) :: acc else acc in
+        if e1 <= e2 then go acc ra b else go acc a rb
+  in
+  go [] a b
+
+let group_availability sched nodes =
+  let horizon = sched.horizon in
+  if horizon <= 0. then 1.
+  else
+    match nodes with
+    | [] -> 0.
+    | first :: rest ->
+        (* The group is down only while every member is down: intersect
+           the members' downtime interval sets. *)
+        let all_down =
+          List.fold_left
+            (fun acc node ->
+              if acc = [] then [] else intersect acc (down_intervals sched node))
+            (down_intervals sched first) rest
+        in
+        (horizon -. measure all_down) /. horizon
 
 (* --- apply --- *)
 

@@ -1,12 +1,12 @@
 (** Declarative, deterministic fault campaigns.
 
-    {!Failure} injects independent random node outages; this module
-    generalises it into a {e campaign}: a pure description of several
-    fault processes that is expanded ({!compile}) against a concrete
-    topology into a reproducible schedule of down/up windows, and then
-    armed ({!apply}) on a live {!Net.t}.  Campaigns drive the
-    no-lost-mail invariant checks of §3.1.2c: the delivery pipeline
-    must not lose or duplicate mail under any of these faults.
+    Every outage a simulation sees comes from here.  A {e campaign} is
+    a pure description of several fault processes that is expanded
+    ({!compile}) against a concrete topology into a reproducible
+    schedule of down/up windows, and then armed ({!apply}) on a live
+    {!Net.t}.  Campaigns drive the no-lost-mail invariant checks of
+    §3.1.2c: the delivery pipeline must not lose or duplicate mail
+    under any of these faults.
 
     Four fault processes are supported:
 
@@ -73,9 +73,18 @@ val compile :
     @raise Invalid_argument on a non-positive horizon or an unknown
     partition region. *)
 
-val node_outages : schedule -> Failure.outage list
-(** The node-level windows as classic outages, for
-    {!Failure.availability}. *)
+val availability : schedule -> Graph.node -> float
+(** Fraction of [0, horizon] during which the node is up under the
+    schedule's node windows: overlapping windows nest (as {!apply}
+    arms them), so downtime is their union.  Link windows do not
+    count.  A non-positive horizon yields 1. *)
+
+val group_availability : schedule -> Graph.node list -> float
+(** Fraction of [0, horizon] during which {e at least one} of the
+    nodes is up — the availability a replica group offers its users:
+    the group is only unavailable while every chain member is down
+    simultaneously.  An empty list yields 0 (no server can ever
+    serve). *)
 
 val apply :
   ?on_event:(time:float -> window -> bool -> unit) ->

@@ -121,6 +121,8 @@ let test_apply_depth_counting () =
   Netsim.Fault.apply
     ~on_event:(fun ~time w status -> flips := (time, w.Netsim.Fault.kind, status) :: !flips)
     net sched;
+  ignore (Dsim.Engine.schedule_at engine 5. (fun () ->
+      Alcotest.(check bool) "up before the first window" true (Netsim.Net.is_up net a)));
   ignore (Dsim.Engine.schedule_at engine 25. (fun () ->
       Alcotest.(check bool) "down inside overlap" false (Netsim.Net.is_up net a)));
   ignore (Dsim.Engine.schedule_at engine 35. (fun () ->
@@ -132,6 +134,132 @@ let test_apply_depth_counting () =
     "one effective down, one effective up"
     [ (10., "crash", false); (50., "crash", true) ]
     (List.rev !flips)
+
+(* --- single crash windows --------------------------------------------- *)
+
+let test_outage_flips_status () =
+  let g = Netsim.Topology.line ~n:2 ~weight:1. in
+  let engine = Dsim.Engine.create () in
+  let net : unit Netsim.Net.t = Netsim.Net.create ~engine g in
+  Netsim.Fault.apply net
+    {
+      Netsim.Fault.windows =
+        [ { target = Node 1; kind = "crash"; start = 5.; duration = 3. } ];
+      horizon = 100.;
+    };
+  let probes = ref [] in
+  List.iter
+    (fun t ->
+      ignore
+        (Dsim.Engine.schedule_at engine t (fun () ->
+             probes := (t, Netsim.Net.is_up net 1) :: !probes)))
+    [ 4.; 6.; 9. ];
+  Dsim.Engine.run engine;
+  Alcotest.(check (list (pair (float 1e-9) bool)))
+    "up/down/up"
+    [ (4., true); (6., false); (9., true) ]
+    (List.rev !probes)
+
+let test_negative_rejected () =
+  let g = Netsim.Topology.line ~n:2 ~weight:1. in
+  let engine = Dsim.Engine.create () in
+  let net : unit Netsim.Net.t = Netsim.Net.create ~engine g in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Fault.apply: negative time in window") (fun () ->
+      Netsim.Fault.apply net
+        {
+          Netsim.Fault.windows =
+            [ { target = Node 0; kind = "crash"; start = -1.; duration = 1. } ];
+          horizon = 100.;
+        })
+
+(* The crash process of a compiled campaign, on servers 0..2 of a line. *)
+let crash_windows ~seed ~rate ~horizon =
+  let g = Netsim.Topology.line ~n:3 ~weight:1. in
+  (Netsim.Fault.compile ~graph:g ~servers:[ 0; 1; 2 ] ~horizon
+     (Netsim.Fault.parse (Printf.sprintf "seed:%d,crash:%g/5" seed rate)))
+    .Netsim.Fault.windows
+
+let test_random_outages_rate () =
+  let windows = crash_windows ~seed:42 ~rate:0.01 ~horizon:10000. in
+  (* Expect roughly 100 crash starts per server. *)
+  List.iter
+    (fun v ->
+      let c =
+        List.length (List.filter (fun w -> w.Netsim.Fault.target = Netsim.Fault.Node v) windows)
+      in
+      if c < 60 || c > 140 then Alcotest.failf "node %d outage count suspicious: %d" v c)
+    [ 0; 1; 2 ];
+  List.iter
+    (fun w ->
+      if w.Netsim.Fault.start < 0. || w.Netsim.Fault.start >= 10000. then
+        Alcotest.fail "outage outside horizon")
+    windows
+
+let test_zero_rate_empty () =
+  Alcotest.(check int) "no outages" 0
+    (List.length (crash_windows ~seed:1 ~rate:0. ~horizon:100.))
+
+(* --- availability arithmetic ------------------------------------------ *)
+
+let node_windows node spans =
+  List.map
+    (fun (start, duration) ->
+      { Netsim.Fault.target = Netsim.Fault.Node node; kind = "crash"; start; duration })
+    spans
+
+let test_availability () =
+  let sched =
+    {
+      Netsim.Fault.windows =
+        (* node 0's two windows overlap; their union is [10, 25] *)
+        node_windows 0 [ (10., 10.); (15., 10.) ] @ node_windows 1 [ (0., 50.) ];
+      horizon = 100.;
+    }
+  in
+  Alcotest.(check (float 1e-9)) "merged downtime" 0.85 (Netsim.Fault.availability sched 0);
+  Alcotest.(check (float 1e-9)) "half down" 0.5 (Netsim.Fault.availability sched 1);
+  Alcotest.(check (float 1e-9)) "unaffected node" 1.0 (Netsim.Fault.availability sched 2)
+
+let test_availability_clips_horizon () =
+  let sched = { Netsim.Fault.windows = node_windows 0 [ (90., 100.) ]; horizon = 100. } in
+  Alcotest.(check (float 1e-9)) "clipped" 0.9 (Netsim.Fault.availability sched 0)
+
+let prop_availability_in_unit_interval =
+  QCheck.Test.make ~name:"availability always lies in [0,1]" ~count:100
+    QCheck.(list_of_size (Gen.int_range 0 20) (pair (float_range 0. 100.) (float_range 0. 50.)))
+    (fun spans ->
+      let sched = { Netsim.Fault.windows = node_windows 0 spans; horizon = 100. } in
+      let a = Netsim.Fault.availability sched 0 in
+      a >= -1e-9 && a <= 1. +. 1e-9)
+
+let test_sampled_uptime_matches_availability () =
+  (* Regression: overlapping crash windows must nest when armed, so the
+     uptime a node really has is the one [availability] reports.  Plain
+     idempotent flips would bring a node back at the first overlapping
+     window's end: ~0.56 real uptime against ~0.24-0.33 reported. *)
+  let g = Netsim.Topology.line ~n:3 ~weight:1. in
+  let servers = [ 0; 1; 2 ] in
+  let sched =
+    Netsim.Fault.compile ~graph:g ~servers ~horizon:5000.
+      (Netsim.Fault.parse "crash:0.01/150")
+  in
+  let engine = Dsim.Engine.create () in
+  let net : unit Netsim.Net.t = Netsim.Net.create ~engine g in
+  Netsim.Fault.apply net sched;
+  let samples = ref 0 and up = Array.make 3 0 in
+  Dsim.Engine.every engine ~period:0.25 ~until:5000. (fun () ->
+      incr samples;
+      List.iter (fun v -> if Netsim.Net.is_up net v then up.(v) <- up.(v) + 1) servers);
+  Dsim.Engine.run ~until:5000. engine;
+  List.iter
+    (fun v ->
+      let sampled = float_of_int up.(v) /. float_of_int !samples in
+      let reported = Netsim.Fault.availability sched v in
+      if Float.abs (sampled -. reported) > 0.01 then
+        Alcotest.failf "node %d: sampled uptime %.3f, reported availability %.3f" v
+          sampled reported)
+    servers
 
 (* --- the delivery ledger --------------------------------------------- *)
 
@@ -514,6 +642,19 @@ let suite =
         Alcotest.test_case "partition targets boundary" `Quick test_partition_targets_boundary;
         Alcotest.test_case "link cut reroutes" `Quick test_link_cut_reroutes;
         Alcotest.test_case "overlapping windows depth-counted" `Quick test_apply_depth_counting;
+        Alcotest.test_case "availability with overlaps" `Quick test_availability;
+        Alcotest.test_case "availability clips at horizon" `Quick
+          test_availability_clips_horizon;
+        QCheck_alcotest.to_alcotest prop_availability_in_unit_interval;
+        Alcotest.test_case "sampled uptime matches availability" `Quick
+          test_sampled_uptime_matches_availability;
+      ] );
+    ( "failure",
+      [
+        Alcotest.test_case "outage flips status" `Quick test_outage_flips_status;
+        Alcotest.test_case "negative times rejected" `Quick test_negative_rejected;
+        Alcotest.test_case "random outage rate" `Quick test_random_outages_rate;
+        Alcotest.test_case "zero rate" `Quick test_zero_rate_empty;
       ] );
     ( "ledger",
       [

@@ -124,7 +124,7 @@ let test_double_run_identical () =
       duration = 1500.;
       mail_count = 100;
       check_period = 80.;
-      failure_rate = 0.002;
+      faults = Some (Netsim.Fault.parse "crash:0.002/150");
     }
   in
   let run () = Mail.Scenario.run_syntax (Netsim.Topology.paper_fig1 ()) spec in

@@ -23,7 +23,7 @@ let test_no_failures_lossless_and_one_poll () =
   Alcotest.(check (float 1e-9)) "fully available" 1. o.Mail.Scenario.availability
 
 let test_failures_still_lossless () =
-  let spec = { small_spec with failure_rate = 0.002; mean_outage = 120. } in
+  let spec = { small_spec with faults = Some (Netsim.Fault.parse "crash:0.002/120") } in
   let o = Mail.Scenario.run_syntax (fig1 ()) spec in
   let r = o.Mail.Scenario.report in
   Alcotest.(check bool) "servers actually failed" true
@@ -34,9 +34,11 @@ let test_failures_still_lossless () =
   Alcotest.(check bool) "polls rise under failures" true
     (o.Mail.Scenario.final_polls_per_check > 1.0)
 
-let test_polls_monotone_in_failure_rate () =
+let test_polls_monotone_in_crash_rate () =
   let run rate =
-    let spec = { small_spec with failure_rate = rate } in
+    let spec =
+      { small_spec with faults = Some (Netsim.Fault.parse (Printf.sprintf "crash:%g/150" rate)) }
+    in
     (Mail.Scenario.run_syntax (fig1 ()) spec).Mail.Scenario.final_polls_per_check
   in
   let p0 = run 0.0 and p1 = run 0.004 in
@@ -44,7 +46,9 @@ let test_polls_monotone_in_failure_rate () =
 
 let test_getmail_beats_poll_all () =
   let run mode =
-    let spec = { small_spec with failure_rate = 0.002; retrieval = mode } in
+    let spec =
+      { small_spec with faults = Some (Netsim.Fault.parse "crash:0.002/150"); retrieval = mode }
+    in
     Mail.Scenario.run_syntax (fig1 ()) spec
   in
   let gm = run Mail.Scenario.Get_mail in
@@ -61,14 +65,25 @@ let test_getmail_beats_poll_all () =
     pa.Mail.Scenario.report.Mail.Evaluation.unretrieved
 
 let test_naive_loses_mail_under_failures () =
-  let spec =
-    { small_spec with failure_rate = 0.004; seed = 3; retrieval = Mail.Scenario.Naive }
+  (* The lossy baseline leaves stranded mail behind.  Whether one
+     particular seed strands any depends on where its crashes land, so
+     the claim is over five seeds together. *)
+  let stranded seed =
+    let spec =
+      {
+        small_spec with
+        faults = Some (Netsim.Fault.parse "crash:0.004/150");
+        seed;
+        retrieval = Mail.Scenario.Naive;
+      }
+    in
+    (Mail.Scenario.run_syntax (fig1 ()) spec).Mail.Scenario.report
+      .Mail.Evaluation.unretrieved
   in
-  let o = Mail.Scenario.run_syntax (fig1 ()) spec in
-  (* The lossy baseline leaves stranded mail behind (this seed makes it
-     deterministic). *)
-  Alcotest.(check bool) "naive strands mail" true
-    (o.Mail.Scenario.report.Mail.Evaluation.unretrieved > 0)
+  let total = List.fold_left (fun acc seed -> acc + stranded seed) 0 [ 1; 2; 3; 4; 5 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "naive strands mail over seeds 1-5 (%d)" total)
+    true (total > 0)
 
 let test_deterministic_runs () =
   let o1 = Mail.Scenario.run_syntax (fig1 ()) small_spec in
@@ -117,7 +132,7 @@ let test_large_hierarchy_stress () =
       duration = 8000.;
       mail_count = 800;
       check_period = 150.;
-      failure_rate = 0.0005;
+      faults = Some (Netsim.Fault.parse "crash:0.0005/150");
     }
   in
   let o = Mail.Scenario.run_syntax site spec in
@@ -133,7 +148,9 @@ let test_metric_name_parity () =
   (* The three designs are only comparable if their registries expose
      the same measurement surface: identical metric names, labels
      aside. *)
-  let spec = { small_spec with mail_count = 80; failure_rate = 0.002 } in
+  let spec =
+    { small_spec with mail_count = 80; faults = Some (Netsim.Fault.parse "crash:0.002/150") }
+  in
   let syn = Mail.Scenario.run_syntax (fig1 ()) spec in
   let loc = Mail.Scenario.run_location ~roam_probability:0.2 (hier_site 11) spec in
   let names o = Telemetry.Registry.metric_names o.Mail.Scenario.metrics in
@@ -156,7 +173,7 @@ let test_arpanet_mail () =
       duration = 6000.;
       mail_count = 400;
       check_period = 200.;
-      failure_rate = 0.0003;
+      faults = Some (Netsim.Fault.parse "crash:0.0003/150");
     }
   in
   let o = Mail.Scenario.run_syntax site spec in
@@ -176,7 +193,7 @@ let suite =
         Alcotest.test_case "C1: lossless under failures" `Slow
           test_failures_still_lossless;
         Alcotest.test_case "C1: polls monotone in failure rate" `Slow
-          test_polls_monotone_in_failure_rate;
+          test_polls_monotone_in_crash_rate;
         Alcotest.test_case "C2: GetMail beats poll-all" `Slow test_getmail_beats_poll_all;
         Alcotest.test_case "C2: naive baseline strands mail" `Slow
           test_naive_loses_mail_under_failures;
