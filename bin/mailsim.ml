@@ -109,28 +109,19 @@ let getmail_cmd =
     | None -> ()
     | Some file ->
         with_output ~what:"trace" file (fun oc ->
-            (* One JSON object per line, spans then event-log records,
-               each tagged with a "type" so consumers can split the
-               stream. *)
-            let tag kind = function
-              | Telemetry.Json.Obj fields ->
-                  Telemetry.Json.Obj
-                    (("type", Telemetry.Json.String kind) :: fields)
-              | other -> other
-            in
-            let emit line =
-              output_string oc (Telemetry.Json.to_string line);
-              output_char oc '\n'
-            in
+            (* One span per line, tagged "type":"span" so consumers
+               can split a stream mixed with other records. *)
             List.iter
-              (fun span -> emit (tag "span" (Telemetry.Span.to_json span)))
-              (Telemetry.Tracer.spans o.Mail.Scenario.tracer);
-            Dsim.Trace.iter
-              (fun r ->
-                emit
-                  (tag "log"
-                     (Telemetry.Json.of_string (Dsim.Trace.json_of_record r))))
-              o.Mail.Scenario.events)
+              (fun span ->
+                let line =
+                  match Telemetry.Span.to_json span with
+                  | Telemetry.Json.Obj fields ->
+                      Telemetry.Json.Obj (("type", Telemetry.Json.String "span") :: fields)
+                  | other -> other
+                in
+                output_string oc (Telemetry.Json.to_string line);
+                output_char oc '\n')
+              (Telemetry.Tracer.spans o.Mail.Scenario.tracer))
   in
   let duration = Cmdline.duration in
   let count = Cmdline.messages ~default:300 in

@@ -18,7 +18,6 @@ type ('ctrl, 'd) t = {
   counters : Dsim.Stats.Counter.t;
   metrics : Telemetry.Registry.t;
   tracer : Telemetry.Tracer.t;
-  trace : Dsim.Trace.t;
   ledger : Ledger.t;
   mutable next_id : Message.id;
   mutable submitted : Message.t list;
@@ -57,7 +56,6 @@ module Ops = struct
   let count ?by t key = Dsim.Stats.Counter.incr ?by t.counters key
   let metrics t = t.metrics
   let tracer t = t.tracer
-  let trace t = t.trace
   let ledger t = t.ledger
   let submitted t = t.submitted
   let storage t = t.storage
@@ -269,7 +267,6 @@ let create ~who ~design ~scheme ~mailbox_policy ~retry_timeout ~resubmit_timeout
     ~max_retries ~bandwidth ~service_rate ~loss_rate ~span_sample ~users_per_host
     ~authority r state (site : Netsim.Topology.mail_site) =
   let engine = Dsim.Engine.create () in
-  let trace = Dsim.Trace.create () in
   let counters = Dsim.Stats.Counter.create () in
   let tracer = Telemetry.Tracer.create () in
   let metrics = Telemetry.Registry.create ~labels:[ ("design", design) ] () in
@@ -333,7 +330,7 @@ let create ~who ~design ~scheme ~mailbox_policy ~retry_timeout ~resubmit_timeout
       (List.init (Netsim.Graph.node_count site.graph) Fun.id)
   in
   let pipeline =
-    Pipeline.create ~engine ~graph:site.graph ~trace ~counters ~metrics ~tracer
+    Pipeline.create ~engine ~graph:site.graph ~counters ~metrics ~tracer
       ?bandwidth ~loss_rate ~ledger ~route_anchors ~storage
       {
         Pipeline.default_pipeline_config with
@@ -365,7 +362,6 @@ let create ~who ~design ~scheme ~mailbox_policy ~retry_timeout ~resubmit_timeout
       counters;
       metrics;
       tracer;
-      trace;
       ledger;
       next_id = 0;
       submitted = [];

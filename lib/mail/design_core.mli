@@ -76,7 +76,6 @@ module Ops : sig
   val count : ?by:int -> ('ctrl, 'd) t -> string -> unit
   val metrics : ('ctrl, 'd) t -> Telemetry.Registry.t
   val tracer : ('ctrl, 'd) t -> Telemetry.Tracer.t
-  val trace : ('ctrl, 'd) t -> Dsim.Trace.t
   val ledger : ('ctrl, 'd) t -> Ledger.t
   val submitted : ('ctrl, 'd) t -> Message.t list
   val storage : ('ctrl, 'd) t -> Replica_group.t

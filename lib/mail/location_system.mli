@@ -72,8 +72,6 @@ val tracer : t -> Telemetry.Tracer.t
 (** The run's span collector (per-message lifecycle + retrieval
     rounds; see {!Pipeline.create} and {!User_agent.get_mail}). *)
 
-val trace : t -> Dsim.Trace.t
-
 val ledger : t -> Ledger.t
 (** The run's delivery-invariant ledger (§3.1.2c); see
     {!Syntax_system.ledger}. *)

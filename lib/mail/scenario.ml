@@ -36,7 +36,6 @@ type outcome = {
   engine_events : int;
   metrics : Telemetry.Registry.t;
   tracer : Telemetry.Tracer.t;
-  events : Dsim.Trace.t;
   timeseries : Telemetry.Timeseries.t option;
   monitor : Telemetry.Monitor.t option;
 }
@@ -168,12 +167,7 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
           System.snapshot_metrics (module M) sys;
           let at = M.now sys in
           ignore (Telemetry.Timeseries.sample ts ~at (M.metrics sys));
-          List.iter
-            (fun (a : Telemetry.Monitor.alert) ->
-              Dsim.Trace.warnf (M.trace sys) ~time:at ~category:"monitor"
-                "%s: %s" a.Telemetry.Monitor.a_rule
-                a.Telemetry.Monitor.a_message)
-            (Telemetry.Monitor.eval mon ~time:at (M.metrics sys))
+          ignore (Telemetry.Monitor.eval mon ~time:at (M.metrics sys))
         in
         Dsim.Engine.every ~category:"scenario.sample" engine ~period:resolution
           ~until:spec.duration sample;
@@ -290,7 +284,6 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
     engine_events = Dsim.Engine.events_executed engine;
     metrics;
     tracer = M.tracer sys;
-    events = M.trace sys;
     timeseries;
     monitor;
   }

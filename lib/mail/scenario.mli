@@ -35,9 +35,8 @@ type spec = {
           time units, plus one final window after the drain. *)
   monitors : Telemetry.Monitor.rule list;
       (** health rules evaluated per window (only when [sampling] is
-          set).  Alerts are written to the engine trace (level Warn,
-          category ["monitor"]) and counted as
-          [alert_fired{rule=...}] / [alert_total]. *)
+          set).  Alerts are kept in {!Telemetry.Monitor.alerts} and
+          counted as [alert_fired{rule=...}] / [alert_total]. *)
 }
 
 val default_spec : spec
@@ -87,9 +86,6 @@ type outcome = {
           submission, one ["getmail.check"] trace per retrieval round
           (feed to {!Telemetry.Critical_path.analyze} or export via
           {!Telemetry.Tracer.to_jsonl} / [to_chrome]). *)
-  events : Dsim.Trace.t;
-      (** the run's bounded event log (the same one the systems write
-          through; exportable via {!Dsim.Trace.to_json}). *)
   timeseries : Telemetry.Timeseries.t option;
       (** the windowed metric series recorded by the sampler;
           [Some _] exactly when [spec.sampling] was set.  Export with

@@ -101,8 +101,6 @@ val tracer : t -> Telemetry.Tracer.t
     retrieval round (see {!Pipeline.create} and
     {!User_agent.get_mail}). *)
 
-val trace : t -> Dsim.Trace.t
-
 val ledger : t -> Ledger.t
 (** The run's delivery-invariant ledger (§3.1.2c): the pipeline
     records submits/deposits/bounces, {!check_mail} records

@@ -43,7 +43,6 @@ module Attribute : S with type t = Attribute_system.t = struct
   let counters t = Location_system.counters (base t)
   let metrics t = Attribute_system.metrics t
   let tracer t = Location_system.tracer (base t)
-  let trace t = Location_system.trace (base t)
   let ledger t = Location_system.ledger (base t)
   let submitted t = Location_system.submitted (base t)
   let view t = Location_system.view (base t)

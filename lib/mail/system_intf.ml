@@ -51,7 +51,6 @@ module type S = sig
       pipeline plus per-check retrieval traces (root spans ["message"]
       and ["getmail.check"]). *)
 
-  val trace : t -> Dsim.Trace.t
   val submitted : t -> Message.t list
   val view : t -> User_agent.server_view
 

@@ -37,7 +37,6 @@ type 'msg slots = {
 type 'msg t = {
   graph : Graph.t;
   engine : Dsim.Engine.t;
-  trace : Dsim.Trace.t option;
   bandwidth : float;  (* bytes per unit time per link; infinity = unsized *)
   loss_rate : float;
   loss_rng : Dsim.Rng.t;
@@ -91,8 +90,7 @@ type 'msg t = {
 
 let default_handler ~time:_ ~src:_ _ = ()
 
-let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed = 0)
-    graph =
+let create ~engine ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed = 0) graph =
   if bandwidth <= 0. then invalid_arg "Net.create: bandwidth must be positive";
   if loss_rate < 0. || loss_rate >= 1. then
     invalid_arg "Net.create: loss_rate outside [0, 1)";
@@ -105,7 +103,6 @@ let create ~engine ?trace ?(bandwidth = infinity) ?(loss_rate = 0.) ?(loss_seed 
   {
     graph;
     engine;
-    trace;
     bandwidth;
     loss_rate;
     loss_rng = Dsim.Rng.create loss_seed;
@@ -156,11 +153,6 @@ let is_up t v =
 
 let notify t v status =
   let time = Dsim.Engine.now t.engine in
-  (match t.trace with
-  | Some tr ->
-      Dsim.Trace.infof tr ~time ~category:"net"
-        "node %s %s" (Graph.label t.graph v) (if status then "up" else "down")
-  | None -> ());
   List.iter (fun f -> f ~time v status) t.listeners
 
 let set_up t v =
@@ -552,14 +544,6 @@ let route_recomputes t = t.route_recomputes
 let route_cache_hits t = t.route_cache_hits
 let route_invalidations t = t.route_invalidations
 
-let notify_link t u v status =
-  match t.trace with
-  | Some tr ->
-      Dsim.Trace.infof tr ~time:(Dsim.Engine.now t.engine) ~category:"net"
-        "link %s-%s %s" (Graph.label t.graph u) (Graph.label t.graph v)
-        (if status then "up" else "down")
-  | None -> ()
-
 let set_link_down t u v =
   check_link t u v;
   let e = edge_id t u v in
@@ -567,8 +551,7 @@ let set_link_down t u v =
     Bytes.set t.edge_down (e lsr 3)
       (Char.chr (Char.code (Bytes.get t.edge_down (e lsr 3)) lor (1 lsl (e land 7))));
     t.edges_down <- t.edges_down + 1;
-    log_flip t (e lsl 1);
-    notify_link t u v false
+    log_flip t (e lsl 1)
   end
 
 let set_link_up t u v =
@@ -579,8 +562,7 @@ let set_link_up t u v =
       (Char.chr
          (Char.code (Bytes.get t.edge_down (e lsr 3)) land lnot (1 lsl (e land 7))));
     t.edges_down <- t.edges_down - 1;
-    log_flip t ((e lsl 1) lor 1);
-    notify_link t u v true
+    log_flip t ((e lsl 1) lor 1)
   end
 
 let links_down t =

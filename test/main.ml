@@ -3,7 +3,7 @@
 let () =
   Alcotest.run "mailsys"
     (Test_heap.suite @ Test_rng.suite @ Test_stats.suite @ Test_engine.suite
-   @ Test_trace.suite @ Test_graph.suite @ Test_shortest_path.suite
+   @ Test_graph.suite @ Test_shortest_path.suite
    @ Test_topology.suite @ Test_net.suite @ Test_route_cache.suite
    @ Test_queueing.suite @ Test_name.suite @ Test_name_space.suite
    @ Test_resolver.suite @ Test_attribute.suite @ Test_directory.suite

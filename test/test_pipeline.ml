@@ -5,7 +5,7 @@
 let nm u = Naming.Name.make ~region:"r0" ~host:"H1" ~user:u
 
 (* A two-host / two-server line: H1 - S1 - S2 - H2. *)
-let tiny_world () =
+let tiny_world ?tracer ?ledger () =
   let g = Netsim.Graph.create () in
   let h1 = Netsim.Graph.add_node ~label:"H1" ~kind:Netsim.Graph.Host ~region:"r0" g in
   let s1 = Netsim.Graph.add_node ~label:"S1" ~kind:Netsim.Graph.Server ~region:"r0" g in
@@ -15,7 +15,6 @@ let tiny_world () =
   Netsim.Graph.add_edge g s1 s2 1.;
   Netsim.Graph.add_edge g s2 h2 1.;
   let engine = Dsim.Engine.create () in
-  let trace = Dsim.Trace.create () in
   let counters = Dsim.Stats.Counter.create () in
   let pipeline_ref = ref None in
   let the_pipeline () = Option.get !pipeline_ref in
@@ -51,7 +50,7 @@ let tiny_world () =
     }
   in
   let pipeline =
-    Mail.Pipeline.create ~engine ~graph:g ~trace ~counters ~storage
+    Mail.Pipeline.create ~engine ~graph:g ~counters ?tracer ?ledger ~storage
       {
         Mail.Pipeline.default_pipeline_config with
         retry_timeout = 20.;
@@ -113,7 +112,9 @@ let test_retry_after_recovery () =
     (Dsim.Stats.Counter.get counters "submit_deferred" > 0)
 
 let test_unresolvable_region_counted () =
-  let engine, pipeline, counters, _, _, (h1, _, _, _) = tiny_world () in
+  let tracer = Telemetry.Tracer.create () in
+  let ledger = Mail.Ledger.create () in
+  let engine, pipeline, counters, _, _, (h1, _, _, _) = tiny_world ~tracer ~ledger () in
   let m =
     Mail.Message.create ~id:4 ~sender:(nm "alice")
       ~recipient:(Naming.Name.make ~region:"mars" ~host:"x" ~user:"marvin")
@@ -123,7 +124,16 @@ let test_unresolvable_region_counted () =
   Dsim.Engine.run ~until:150. engine;
   Alcotest.(check bool) "unresolvable counted" true
     (Dsim.Stats.Counter.get counters "unresolvable" > 0);
-  Alcotest.(check bool) "not deposited" false (Mail.Message.is_deposited m)
+  Alcotest.(check bool) "not deposited" false (Mail.Message.is_deposited m);
+  (* The reason lands on the message's root span and in the ledger. *)
+  let root = Option.get (Mail.Message.span m) in
+  Alcotest.(check string) "root span" "message" root.Telemetry.Span.name;
+  Alcotest.(check bool) "root span finished" true (Telemetry.Span.is_finished root);
+  Alcotest.(check (option string)) "outcome attribute" (Some "unknown region")
+    (Telemetry.Span.attr root "outcome");
+  let v = Mail.Ledger.check ledger in
+  Alcotest.(check int) "ledger counts it undeliverable" 1 v.Mail.Ledger.undeliverable;
+  Alcotest.(check int) "nothing lost" 0 v.Mail.Ledger.lost
 
 let test_retransmitted_deposit_reacked () =
   (* A finished round must re-acknowledge retransmitted Deposits from
@@ -176,8 +186,7 @@ let test_ctrl_dispatch () =
     }
   in
   let pipeline =
-    Mail.Pipeline.create ~engine ~graph:g ~trace:(Dsim.Trace.create ())
-      ~counters ~storage Mail.Pipeline.default_pipeline_config callbacks
+    Mail.Pipeline.create ~engine ~graph:g ~counters ~storage Mail.Pipeline.default_pipeline_config callbacks
   in
   ignore (Netsim.Net.send (Mail.Pipeline.net pipeline) ~src:a ~dst:b (Mail.Pipeline.Ctrl "ping"));
   Dsim.Engine.run engine;

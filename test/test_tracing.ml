@@ -22,7 +22,7 @@ let test_span_lifecycle () =
   Alcotest.(check (option string)) "missing attr" None (Span.attr s "nope")
 
 let test_tracer_capacity_bounds () =
-  (* Mirrors Dsim.Trace's discipline: the ring keeps the newest
+  (* The ring keeps the newest
      [capacity] spans, drops oldest-first, and [total] keeps counting. *)
   let tr = Tracer.create ~capacity:3 () in
   for i = 1 to 5 do
