@@ -935,6 +935,17 @@ let experiment_scale ~quick ~stable () =
       "ratchet: events/sec %.0f >= %.0f floor, %.1f minor words/event <= %.1f ceiling\n"
       eps floor minor_words_per_event ceiling
   end;
+  (* Deterministic, so asserted on [--stable] runs too: the tracer
+     thins whole traces to fit its capacity, so at any scale some
+     message traces must survive for the critical path. *)
+  let critical_path = Telemetry.Critical_path.analyze o.Mail.Scenario.tracer in
+  let whole_traces = critical_path.Telemetry.Critical_path.traces in
+  if whole_traces = 0 then begin
+    Printf.eprintf "RATCHET FAIL: no message trace retained (%s scale)\n"
+      (if quick then "quick" else "full");
+    exit 1
+  end;
+  Printf.printf "ratchet: %d message traces retained > 0\n" whole_traces;
   (match o.Mail.Scenario.timeseries with
   | Some ts ->
       let oc = open_out "TIMESERIES.json" in
@@ -999,9 +1010,7 @@ let experiment_scale ~quick ~stable () =
       ( "unretrieved",
         Telemetry.Json.Int o.Mail.Scenario.report.Mail.Evaluation.unretrieved );
       ("ledger", Mail.Ledger.verdict_to_json o.Mail.Scenario.ledger);
-      ( "critical_path",
-        Telemetry.Critical_path.to_json
-          (Telemetry.Critical_path.analyze o.Mail.Scenario.tracer) );
+      ("critical_path", Telemetry.Critical_path.to_json critical_path);
       ("slo", Telemetry.Monitor.summary_to_json monitor);
     ]
 

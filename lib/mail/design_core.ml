@@ -1,6 +1,5 @@
 type ('ctrl, 'd) t = {
   who : string;
-  span_sample : int;
   resolver : ('ctrl, 'd) resolver;
   state : 'd;
   engine : Dsim.Engine.t;
@@ -196,15 +195,9 @@ module Ops = struct
 
   let check_mail t name =
     let a = agent t name in
-    let tracer =
-      (* Span sampling: trace the retrieval rounds of 1-in-N users,
-         selected by interned id so the choice is deterministic. *)
-      if t.span_sample <= 1 || User_agent.uid a mod t.span_sample = 0
-      then Some t.tracer
-      else None
-    in
     let stats =
-      User_agent.get_mail ?tracer ~ledger:t.ledger a ~view:(view t) ~now:(now t)
+      User_agent.get_mail ~tracer:t.tracer ~ledger:t.ledger a ~view:(view t)
+        ~now:(now t)
     in
     count t "checks";
     count ~by:stats.User_agent.polls t "polls";
@@ -249,7 +242,7 @@ end
 open Ops
 
 (* Users u0 … u(n-1) on every site host, hosts in site order: the
-   order fixes the interned ids, which drive span sampling. *)
+   order fixes the interned ids. *)
 let populate t (site : Netsim.Topology.mail_site) ~users_per_host authority =
   List.iter
     (fun (host, _population) ->
@@ -346,7 +339,6 @@ let create ~who ~design ~scheme ~mailbox_policy ~retry_timeout ~resubmit_timeout
   let t =
     {
       who;
-      span_sample;
       resolver = r;
       state;
       engine;

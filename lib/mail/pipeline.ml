@@ -207,9 +207,17 @@ let server_utilisation t node =
 
 let node_label t node = Netsim.Graph.label (Netsim.Net.graph t.net) node
 
-(* Emit a span into [msg]'s trace as a child of its root span — a
-   no-op when tracing is off or the message never went through
-   [submit] (so has no root to hang off). *)
+(* [msg] has a root span (tracing is on, its lifecycle was sampled at
+   [submit] and its trace kept) and the tracer still retains that
+   trace.  Span sites test this before building any attributes. *)
+let traced t msg =
+  match (t.tracer, Message.span msg) with
+  | Some tracer, Some root ->
+      Telemetry.Tracer.keeps tracer root.Telemetry.Span.trace_id
+  | _ -> false
+
+(* Emit a span into [msg]'s trace as a child of its root span; callers
+   test [traced] first. *)
 let emit_span t msg ~name ~start ~finish attrs =
   match (t.tracer, Message.span msg) with
   | Some tracer, Some root ->
@@ -221,8 +229,9 @@ let emit_span t msg ~name ~start ~finish attrs =
    when the service model is off). *)
 let through_queue t node ?msg work =
   let queue_wait_span m ~arrived ~started =
-    emit_span t m ~name:"queue_wait" ~start:arrived ~finish:started
-      [ ("server", node_label t node) ]
+    if traced t m then
+      emit_span t m ~name:"queue_wait" ~start:arrived ~finish:started
+        [ ("server", node_label t node) ]
   in
   match t.config.service_rate with
   | None ->
@@ -280,25 +289,26 @@ let send_fenced ?bytes t ~src ~dst wire (id : Message.id) =
    close the transit span; each (destination, message) keeps only the
    latest send — a retry supersedes the lost original. *)
 let record_hop t msg ~name ~src ~dst =
-  if Option.is_some t.tracer && Option.is_some (Message.span msg) then
+  if traced t msg then
     Hashtbl.replace t.hop_sends (nkey t dst msg.Message.id) (name, src, now t)
 
 let emit_hop t node ~time m =
   match Hashtbl.find_opt t.hop_sends (nkey t node m.Message.id) with
   | Some (name, src, sent) ->
       Hashtbl.remove t.hop_sends (nkey t node m.Message.id);
-      emit_span t m ~name ~start:sent ~finish:time
-        [ ("src", node_label t src); ("dst", node_label t node) ]
+      if traced t m then
+        emit_span t m ~name ~start:sent ~finish:time
+          [ ("src", node_label t src); ("dst", node_label t node) ]
   | None -> ()
 
 let declare_dead t msg ~reason =
   if not (Hashtbl.mem t.dead msg.Message.id) then begin
     Hashtbl.replace t.dead msg.Message.id ();
     (match Message.span msg with
-    | Some root ->
+    | Some root when traced t msg ->
         Telemetry.Span.set_attr root "outcome" reason;
         Telemetry.Span.finish root ~at:(now t)
-    | None -> ());
+    | _ -> ());
     Option.iter (fun l -> Ledger.record_undeliverable l msg ~reason ~at:(now t)) t.ledger;
     t.callbacks.on_undeliverable msg ~reason
   end
@@ -382,13 +392,15 @@ let finish_round t (r : round) ~degraded =
     let ack = if degraded then Degraded else Quorum in
     incr (if degraded then t.cells.c_degraded_acks else t.cells.c_quorum_acks);
     Option.iter (fun l -> Ledger.record_ack l r.r_msg ~degraded ~at:(now t)) t.ledger;
-    emit_span t r.r_msg ~name:"deposit.replicate" ~start:r.started ~finish:(now t)
-      [
-        ("server", node_label t r.coordinator);
-        ("ack", ack_to_string ack);
-        ("copies", string_of_int (List.length r.stored));
-        ("chain", string_of_int (List.length r.chain));
-      ];
+    if traced t r.r_msg then
+      emit_span t r.r_msg ~name:"deposit.replicate" ~start:r.started
+        ~finish:(now t)
+        [
+          ("server", node_label t r.coordinator);
+          ("ack", ack_to_string ack);
+          ("copies", string_of_int (List.length r.stored));
+          ("chain", string_of_int (List.length r.chain));
+        ];
     t.callbacks.on_deposit r.r_msg ~on:r.coordinator ~ack;
     (match t.callbacks.notify_target_uid (ruid t r.r_msg) with
     | Some host ->
@@ -437,8 +449,9 @@ let do_deposit t ~on ~upstream msg =
         (match Replica_group.write t.storage ~on msg ~at:(now t) with
         | Replica_group.Stored ->
             incr t.cells.c_deposits;
-            emit_span t msg ~name:"deposit" ~start:(now t) ~finish:(now t)
-              [ ("server", node_label t on) ]
+            if traced t msg then
+              emit_span t msg ~name:"deposit" ~start:(now t) ~finish:(now t)
+                [ ("server", node_label t on) ]
         | Replica_group.Duplicate | Replica_group.Superseded -> ());
         let r =
           {
@@ -572,8 +585,9 @@ let handle_wire t node ~time ~src msg =
         Hashtbl.replace t.submit_spans m.Message.id ();
         (* Connection setup: submission at the sender's host until the
            first server accepts the message. *)
-        emit_span t m ~name:"submit" ~start:m.Message.submitted_at ~finish:time
-          [ ("server", node_label t node) ]
+        if traced t m then
+          emit_span t m ~name:"submit" ~start:m.Message.submitted_at
+            ~finish:time [ ("server", node_label t node) ]
       end;
       begin_work t m;
       through_queue t node ~msg:m (fun () ->
@@ -672,16 +686,18 @@ let submit t ~sender_agent ~msg =
     when Message.span msg = None
          && (t.config.span_sample <= 1
             || msg.Message.id mod t.config.span_sample = 0) ->
-      Message.set_span msg
-        (Telemetry.Tracer.span tracer ~name:"message"
-           ~start:msg.Message.submitted_at
-           ~attrs:
-             [
-               ("id", string_of_int msg.Message.id);
-               ("sender", Naming.Name.to_string msg.Message.sender);
-               ("recipient", Naming.Name.to_string msg.Message.recipient);
-             ]
-           ())
+      let trace = Telemetry.Tracer.open_trace tracer in
+      if Telemetry.Tracer.keeps tracer trace then
+        Message.set_span msg
+          (Telemetry.Tracer.span tracer ~trace ~name:"message"
+             ~start:msg.Message.submitted_at
+             ~attrs:
+               [
+                 ("id", string_of_int msg.Message.id);
+                 ("sender", Naming.Name.to_string msg.Message.sender);
+                 ("recipient", Naming.Name.to_string msg.Message.recipient);
+               ]
+             ())
   | _ -> ());
   incr t.cells.c_submitted;
   ignore (ruid t msg);

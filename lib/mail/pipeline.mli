@@ -148,8 +148,10 @@ val create :
     observed live into its ["queue_wait"] histogram (registered
     eagerly, so the metric exists even with the service model off).
     When [tracer] is given, {!submit} opens a per-message root span
-    (["message"]) and the pipeline hangs lifecycle child spans off
-    it: ["submit"] (submission → first server acceptance),
+    (["message"]) when the tracer keeps the new trace
+    ({!Telemetry.Tracer.keeps}), and the pipeline hangs lifecycle
+    child spans off it for as long as the tracer keeps it:
+    ["submit"] (submission → first server acceptance),
     ["queue_wait"] (arrival → service start at each server;
     zero-length when the service model is off), ["forward.hop"] /
     ["deposit.hop"] (server→server transit), the instant ["deposit"]

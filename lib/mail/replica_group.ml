@@ -171,6 +171,26 @@ let purge_copy t ~kind ~node (c : copy_state) id =
   c.nodes <- List.filter (fun n -> n <> node) c.nodes;
   if c.nodes = [] then Hashtbl.remove t.copies id
 
+(* One "getmail.failover" trace, opened only when the tracer keeps it.
+   Kept out of [fetch]: failover is the rare path. *)
+let trace_failover t name ~on ~primary ~retrieved ~at =
+  match t.tracer with
+  | Some tracer ->
+      let trace = Telemetry.Tracer.open_trace tracer in
+      if Telemetry.Tracer.keeps tracer trace then
+        ignore
+          (Telemetry.Tracer.span tracer ~trace ~name:"getmail.failover" ~start:at
+             ~finish:at
+             ~attrs:
+               [
+                 ("user", Naming.Name.to_string name);
+                 ("served_by", string_of_int on);
+                 ("primary", string_of_int primary);
+                 ("retrieved", string_of_int retrieved);
+               ]
+             ())
+  | None -> ()
+
 let fetch t ~on ~uid name ~at =
   let msgs = Server.take (holder t on) ~uid ~at in
   List.iter (observe_latencies t) msgs;
@@ -179,20 +199,7 @@ let fetch t ~on ~uid name ~at =
   (match t.chain_of uid with
   | primary :: _ when primary <> on && (not (t.is_up primary)) && msgs <> [] ->
       count t "replica_failovers";
-      (match t.tracer with
-      | Some tracer ->
-          ignore
-            (Telemetry.Tracer.span tracer ~name:"getmail.failover" ~start:at
-               ~finish:at
-               ~attrs:
-                 [
-                   ("user", Naming.Name.to_string name);
-                   ("served_by", string_of_int on);
-                   ("primary", string_of_int primary);
-                   ("retrieved", string_of_int (List.length msgs));
-                 ]
-               ())
-      | None -> ())
+      trace_failover t name ~on ~primary ~retrieved:(List.length msgs) ~at
   | _ -> ());
   List.iter
     (fun (m : Message.t) ->

@@ -223,7 +223,8 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
         |> fun (sum, repl) -> (sum /. float_of_int (List.length users), repl)
   in
   (* Fault windows become spans so trace timelines show the outages
-     next to the message lifecycles they disturbed. *)
+     next to the message lifecycles they disturbed.  Each is pinned:
+     however far the run thinned its traces, every outage stays. *)
   (match fault_schedule with
   | None -> ()
   | Some sched ->
@@ -234,8 +235,10 @@ let drive (type s) ?(on_check_tick = fun ~rng:_ _ -> ())
       in
       List.iter
         (fun (w : Netsim.Fault.window) ->
+          let trace = Telemetry.Tracer.open_trace tracer in
+          Telemetry.Tracer.pin tracer trace;
           ignore
-            (Telemetry.Tracer.span tracer ~name:"fault" ~start:w.start
+            (Telemetry.Tracer.span tracer ~trace ~name:"fault" ~start:w.start
                ~finish:(w.start +. w.duration)
                ~attrs:[ ("kind", w.kind); ("target", target_string w.target) ]
                ()))

@@ -49,9 +49,11 @@ type config = {
           0): the random message loss the acknowledgement/retry
           machinery absorbs. *)
   span_sample : int;
-      (** trace one message lifecycle (and one user's retrieval
-          rounds) in [span_sample]; [<= 1] (default) traces
-          everything.  See {!Pipeline.config}. *)
+      (** trace one message lifecycle in [span_sample]; [<= 1]
+          (default) traces every message.  Retrieval rounds are not
+          sampled here: every check is offered to the tracer, which
+          completes the trace of each sampled message it fetches.
+          See {!Pipeline.config}. *)
 }
 
 val default_config : config

@@ -85,32 +85,45 @@ let fresh_only ?ledger t ~now msgs =
    instant "getmail.poll" child per server contact — their count
    matches [check_stats.polls] exactly.  Each fresh message fetched
    also completes its own trace: a "mailbox.wait" span (deposit →
-   retrieval), a poll marker, and the root span is finished. *)
+   retrieval), a poll marker, and the root span is finished.  The
+   check span is built only when the tracer keeps its trace; message
+   traces are completed either way. *)
 let instrument tracer t ~mode ~now =
   match tracer with
   | None ->
       ((fun ~server:_ ~alive:_ ~fetched:_ -> ()), fun (_ : check_stats) -> ())
   | Some tracer ->
       let root =
-        Telemetry.Tracer.span tracer ~name:"getmail.check" ~start:now
-          ~attrs:[ ("user", Naming.Name.to_string t.name); ("mode", mode) ]
-          ()
+        let trace = Telemetry.Tracer.open_trace tracer in
+        if not (Telemetry.Tracer.keeps tracer trace) then None
+        else
+          Some
+            (Telemetry.Tracer.span tracer ~trace ~name:"getmail.check"
+               ~start:now
+               ~attrs:[ ("user", Naming.Name.to_string t.name); ("mode", mode) ]
+               ())
+      in
+      let kept (s : Telemetry.Span.t) =
+        Telemetry.Tracer.keeps tracer s.Telemetry.Span.trace_id
       in
       let record_poll ~server ~alive ~fetched =
-        ignore
-          (Telemetry.Tracer.span tracer ~parent:root ~name:"getmail.poll"
-             ~start:now ~finish:now
-             ~attrs:
-               [
-                 ("server", string_of_int server);
-                 ("alive", string_of_bool alive);
-                 ("retrieved", string_of_int (List.length fetched));
-               ]
-             ());
+        (match root with
+        | Some root when kept root ->
+            ignore
+              (Telemetry.Tracer.span tracer ~parent:root ~name:"getmail.poll"
+                 ~start:now ~finish:now
+                 ~attrs:
+                   [
+                     ("server", string_of_int server);
+                     ("alive", string_of_bool alive);
+                     ("retrieved", string_of_int (List.length fetched));
+                   ]
+                 ())
+        | _ -> ());
         List.iter
           (fun (m : Message.t) ->
             match Message.span m with
-            | Some mroot ->
+            | Some mroot when kept mroot ->
                 (match m.Message.deposited_at with
                 | Some dep ->
                     ignore
@@ -123,15 +136,19 @@ let instrument tracer t ~mode ~now =
                      ~name:"getmail.poll" ~start:now ~finish:now
                      ~attrs:[ ("server", string_of_int server) ] ());
                 Telemetry.Span.finish mroot ~at:now
-            | None -> ())
+            | _ -> ())
           fetched
       in
       let close (stats : check_stats) =
-        Telemetry.Span.set_attr root "polls" (string_of_int stats.polls);
-        Telemetry.Span.set_attr root "failed_polls"
-          (string_of_int stats.failed_polls);
-        Telemetry.Span.set_attr root "retrieved" (string_of_int stats.retrieved);
-        Telemetry.Span.finish root ~at:now
+        match root with
+        | Some root when kept root ->
+            Telemetry.Span.set_attr root "polls" (string_of_int stats.polls);
+            Telemetry.Span.set_attr root "failed_polls"
+              (string_of_int stats.failed_polls);
+            Telemetry.Span.set_attr root "retrieved"
+              (string_of_int stats.retrieved);
+            Telemetry.Span.finish root ~at:now
+        | _ -> ()
       in
       (record_poll, close)
 

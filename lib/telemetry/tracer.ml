@@ -1,28 +1,90 @@
 type t = {
-  buffer : Span.t option array;
-  mutable next : int;
+  buffer : Span.t array;
   mutable stored : int;
   mutable total : int;
+  mutable stride : int;
   mutable next_span_id : int;
   mutable next_trace_id : int;
+  pinned : (int, unit) Hashtbl.t;  (* traces exempt from thinning *)
 }
+
+(* Fills the unused tail of [buffer]; never handed out. *)
+let vacant =
+  {
+    Span.trace_id = -1;
+    span_id = -1;
+    parent = None;
+    name = "";
+    start = 0.;
+    finish = None;
+    attrs = [];
+  }
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Tracer.create: capacity must be positive";
   {
-    buffer = Array.make capacity None;
-    next = 0;
+    buffer = Array.make capacity vacant;
     stored = 0;
     total = 0;
+    stride = 1;
     next_span_id = 0;
     next_trace_id = 0;
+    pinned = Hashtbl.create 16;
   }
 
-let add t span =
-  t.buffer.(t.next) <- Some span;
-  t.next <- (t.next + 1) mod Array.length t.buffer;
-  if t.stored < Array.length t.buffer then t.stored <- t.stored + 1;
-  t.total <- t.total + 1
+(* A bijective finaliser on OCaml's 63-bit ints (splitmix64 with its
+   constants cut to fit): every bit of the trace id reaches the low
+   bits the sampler tests, so consecutive ids thin evenly. *)
+let mix id =
+  let x = id + 0x1E3779B97F4A7C15 in
+  let x = (x lxor (x lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let x = (x lxor (x lsr 27)) * 0x14D049BB133111EB in
+  x lxor (x lsr 31)
+
+let keeps t trace =
+  t.stride = 1
+  || mix trace land (t.stride - 1) = 0
+  || (Hashtbl.length t.pinned > 0 && Hashtbl.mem t.pinned trace)
+
+let pin t trace = Hashtbl.replace t.pinned trace ()
+
+let open_trace t =
+  let id = t.next_trace_id in
+  t.next_trace_id <- id + 1;
+  id
+
+(* The largest power of two an OCaml int holds. *)
+let max_stride = 1 lsl 61
+
+(* Double the stride and compact, oldest first, the spans of the
+   traces that still pass.  A trace kept at the new stride passed at
+   every smaller one, so all of its spans are still here. *)
+let thin t =
+  t.stride <- t.stride * 2;
+  let kept = ref 0 in
+  for i = 0 to t.stored - 1 do
+    let s = t.buffer.(i) in
+    if keeps t s.Span.trace_id then begin
+      t.buffer.(!kept) <- s;
+      incr kept
+    end
+  done;
+  Array.fill t.buffer !kept (t.stored - !kept) vacant;
+  t.stored <- !kept
+
+let add t (s : Span.t) =
+  t.total <- t.total + 1;
+  let cap = Array.length t.buffer in
+  while t.stored = cap && keeps t s.Span.trace_id && t.stride < max_stride do
+    thin t
+  done;
+  (* Still full only if every buffered trace is pinned or passes even
+     at [max_stride] (hashes with 61 low zero bits); the span is then
+     dropped. *)
+  if t.stored < cap && keeps t s.Span.trace_id then begin
+    t.buffer.(t.stored) <- s;
+    t.stored <- t.stored + 1
+  end
 
 let span t ?trace ?parent ?(attrs = []) ?finish ~name ~start () =
   let trace_id, parent_id =
@@ -31,10 +93,7 @@ let span t ?trace ?parent ?(attrs = []) ?finish ~name ~start () =
     | None -> (
         match trace with
         | Some id -> (id, None)
-        | None ->
-            let id = t.next_trace_id in
-            t.next_trace_id <- id + 1;
-            (id, None))
+        | None -> (open_trace t, None))
   in
   let span_id = t.next_span_id in
   t.next_span_id <- span_id + 1;
@@ -48,12 +107,8 @@ let span t ?trace ?parent ?(attrs = []) ?finish ~name ~start () =
   s
 
 let iter f t =
-  let cap = Array.length t.buffer in
-  let start = (t.next - t.stored + cap) mod cap in
   for i = 0 to t.stored - 1 do
-    match t.buffer.((start + i) mod cap) with
-    | Some s -> f s
-    | None -> assert false
+    f t.buffer.(i)
   done
 
 let spans t =
@@ -63,8 +118,8 @@ let spans t =
 
 let total t = t.total
 
-(* Ring-buffer overwrites are otherwise silent: this is the span-loss
-   signal samplers publish as the [trace_dropped] counter. *)
+(* Thinning is otherwise silent: this is the span-loss signal samplers
+   publish as the [trace_dropped] counter. *)
 let dropped t = t.total - t.stored
 
 let count ?name ?trace t =
@@ -79,10 +134,11 @@ let count ?name ?trace t =
   !n
 
 let clear t =
-  Array.fill t.buffer 0 (Array.length t.buffer) None;
-  t.next <- 0;
+  Array.fill t.buffer 0 t.stored vacant;
   t.stored <- 0;
-  t.total <- 0
+  t.total <- 0;
+  t.stride <- 1;
+  Hashtbl.reset t.pinned
 
 (* --- reassembly --------------------------------------------------------- *)
 

@@ -1,9 +1,20 @@
 (** Bounded span collector: creation, per-trace reassembly, exports.
 
-    A ring buffer retains the most recent [capacity] spans, older
-    spans are dropped oldest-first, and {!total} keeps counting
-    everything ever collected — so long simulations cannot grow memory
-    without bound.
+    Retention is decided per trace, never per span.  Trace [id] is
+    kept while [mix id land (stride - 1) = 0] for a fixed bijective
+    hash [mix]; [stride] starts at 1 and is a power of two.  Below
+    [capacity] every span is kept.  When a kept span arrives at a full
+    buffer, the stride doubles and the traces that no longer pass are
+    dropped in place, oldest-first order preserved — repeatedly, until
+    there is room.  A trace that passes at a larger stride passed at
+    every smaller one, so every retained trace is whole: the retained
+    spans are a uniform sample of whole traces over the entire run,
+    and {!total} keeps counting everything ever collected.
+
+    Callers decide before building anything: a root site calls
+    {!open_trace} and builds its span only when {!keeps} says so; a
+    child site tests [keeps] on its root's trace first, since a kept
+    trace can be thinned out later in the run.
 
     Spans created through one tracer get tracer-unique span ids;
     a span created with neither [?trace] nor [?parent] opens a fresh
@@ -14,8 +25,23 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Bounded collector retaining the most recent [capacity] spans
-    (default 65536).  @raise Invalid_argument when [capacity <= 0]. *)
+(** Collector retaining at most [capacity] spans (default 65536).
+    @raise Invalid_argument when [capacity <= 0]. *)
+
+val open_trace : t -> int
+(** Allocate a fresh trace id without building a span.  Pass it to
+    {!span} as [~trace] when {!keeps} holds for it. *)
+
+val keeps : t -> int -> bool
+(** Whether trace [id] is currently retained.  Once false it stays
+    false until {!clear}: spans offered for it are counted by {!total} and dropped. *)
+
+val pin : t -> int -> unit
+(** Exempt trace [id] from thinning: {!keeps} holds for it until
+    {!clear}, and its spans are only ever dropped when the buffer
+    holds nothing but pinned traces.  Meant for a fresh id from
+    {!open_trace} carrying a few timeline annotations (the fault
+    windows of a campaign), not for sampled request traces. *)
 
 val span :
   t ->
@@ -31,7 +57,9 @@ val span :
     (inheriting its trace; [?trace] is then ignored); [?trace] alone
     appends a parentless span to an existing trace; with neither, a
     fresh trace is opened and the span is its root.  [?finish] closes
-    the span immediately (instant events pass [~finish:start]). *)
+    the span immediately (instant events pass [~finish:start]).  A
+    span whose trace {!keeps} rejects is built and counted but not
+    retained. *)
 
 (** {1 Reading back} *)
 
@@ -42,15 +70,17 @@ val total : t -> int
 (** All spans ever collected, including dropped ones. *)
 
 val dropped : t -> int
-(** Spans lost to ring-buffer overflow ([total - retained]).  Published
-    by the metric snapshotters as the [trace_dropped] counter so a
-    too-small buffer is visible instead of silently truncating
-    critical-path analyses. *)
+(** Spans thinned out with their traces ([total - retained]).
+    Published by the metric snapshotters as the [trace_dropped]
+    counter, so the sampling rate a critical-path analysis saw is
+    visible. *)
 
 val count : ?name:string -> ?trace:int -> t -> int
 (** Retained spans matching the optional filters. *)
 
 val clear : t -> unit
+(** Drop every span and reset {!total}, the stride and the pins; ids
+    keep counting. *)
 
 (** {1 Per-trace reassembly} *)
 

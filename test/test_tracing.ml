@@ -21,23 +21,135 @@ let test_span_lifecycle () =
   Alcotest.(check (option string)) "attr overridden" (Some "v2") (Span.attr s "k");
   Alcotest.(check (option string)) "missing attr" None (Span.attr s "nope")
 
+(* [n] two-span traces: a root and one child each. *)
+let two_span_traces tr n =
+  for i = 1 to n do
+    let start = float_of_int i in
+    let root = Tracer.span tr ~name:(Printf.sprintf "r%d" i) ~start () in
+    ignore (Tracer.span tr ~parent:root ~name:"child" ~start ~finish:start ())
+  done
+
 let test_tracer_capacity_bounds () =
-  (* The ring keeps the newest
-     [capacity] spans, drops oldest-first, and [total] keeps counting. *)
-  let tr = Tracer.create ~capacity:3 () in
-  for i = 1 to 5 do
-    ignore (Tracer.span tr ~name:(Printf.sprintf "s%d" i) ~start:(float_of_int i) ())
-  done;
+  (* Past capacity the tracer thins whole traces out, never single
+     spans, keeps the survivors oldest first, and [total] keeps
+     counting. *)
+  let tr = Tracer.create ~capacity:5 () in
+  two_span_traces tr 8;
   let retained = Tracer.spans tr in
-  Alcotest.(check int) "retained" 3 (List.length retained);
-  Alcotest.(check (list string)) "kept newest" [ "s3"; "s4"; "s5" ]
-    (List.map (fun (s : Span.t) -> s.Span.name) retained);
-  Alcotest.(check int) "total counts all" 5 (Tracer.total tr);
-  Alcotest.(check int) "count sees retained only" 1 (Tracer.count ~name:"s4" tr);
-  Alcotest.(check int) "dropped span invisible" 0 (Tracer.count ~name:"s1" tr);
+  let n = List.length retained in
+  Alcotest.(check bool) "bounded by capacity" true (n <= 5);
+  Alcotest.(check bool) "something kept" true (n > 0);
+  Alcotest.(check int) "total counts all" 16 (Tracer.total tr);
+  Alcotest.(check int) "dropped = total - retained" (16 - n) (Tracer.dropped tr);
+  Alcotest.(check bool) "kept spans form whole traces" true
+    (List.for_all
+       (fun (_, spans) -> List.length spans = 2 && Tracer.is_connected spans)
+       (Tracer.traces tr));
+  Alcotest.(check (list int)) "oldest first"
+    (List.sort Int.compare (List.map (fun (s : Span.t) -> s.Span.span_id) retained))
+    (List.map (fun (s : Span.t) -> s.Span.span_id) retained);
+  Alcotest.(check int) "count sees retained only" (n / 2)
+    (Tracer.count ~name:"child" tr);
+  (* A thinned trace stays out: its later spans are counted, not kept. *)
+  let gone =
+    List.find (fun id -> not (Tracer.keeps tr id)) (List.init 8 Fun.id)
+  in
+  ignore (Tracer.span tr ~trace:gone ~name:"late" ~start:9. ());
+  Alcotest.(check int) "late span of a thinned trace dropped" 0
+    (Tracer.count ~name:"late" tr);
+  Alcotest.(check int) "late span counted" 17 (Tracer.total tr);
   Tracer.clear tr;
   Alcotest.(check int) "cleared" 0 (List.length (Tracer.spans tr));
-  Alcotest.(check int) "total reset" 0 (Tracer.total tr)
+  Alcotest.(check int) "total reset" 0 (Tracer.total tr);
+  (* Up to capacity nothing is thinned. *)
+  let full = Tracer.create ~capacity:4 () in
+  two_span_traces full 2;
+  Alcotest.(check int) "at capacity all kept" 4 (List.length (Tracer.spans full));
+  Alcotest.(check int) "no drops" 0 (Tracer.dropped full)
+
+let test_tracer_pinned_survive () =
+  (* Pinned traces are never thinned: one pinned before the overflow
+     and three pinned into an already-thinned, full buffer (how a
+     fault campaign's windows arrive at run end) all stay. *)
+  let tr = Tracer.create ~capacity:6 () in
+  let pin_span name start =
+    let trace = Tracer.open_trace tr in
+    Tracer.pin tr trace;
+    ignore (Tracer.span tr ~trace ~name ~start ~finish:start ())
+  in
+  pin_span "early" 0.;
+  two_span_traces tr 20;
+  List.iter (fun i -> pin_span "late" (float_of_int (20 + i))) [ 1; 2; 3 ];
+  let n = List.length (Tracer.spans tr) in
+  Alcotest.(check bool) "bounded by capacity" true (n <= 6);
+  Alcotest.(check int) "early pin kept" 1 (Tracer.count ~name:"early" tr);
+  Alcotest.(check int) "late pins kept" 3 (Tracer.count ~name:"late" tr);
+  Alcotest.(check int) "total counts all" 44 (Tracer.total tr);
+  Alcotest.(check bool) "unpinned survivors are whole" true
+    (List.for_all
+       (fun (_, spans) ->
+         match spans with
+         | [ (s : Span.t) ] -> s.Span.name = "early" || s.Span.name = "late"
+         | _ -> List.length spans = 2 && Tracer.is_connected spans)
+       (Tracer.traces tr))
+
+(* A tracer op: open a trace, or add a child span to the [k]-th trace
+   opened so far (modulo their count). *)
+type op = Open | Child of int
+
+let run_ops tr ops =
+  let roots = ref [||] in
+  List.iteri
+    (fun i op ->
+      let start = float_of_int i in
+      match op with
+      | Open ->
+          let trace = Tracer.open_trace tr in
+          let root = Tracer.span tr ~trace ~name:"root" ~start () in
+          roots := Array.append !roots [| root |]
+      | Child k ->
+          let n = Array.length !roots in
+          if n > 0 then begin
+            let root = !roots.(k mod n) in
+            if Tracer.keeps tr root.Span.trace_id then
+              ignore
+                (Tracer.span tr ~parent:root ~name:"child" ~start ~finish:start ())
+          end)
+    ops
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 120)
+      (frequency [ (1, return Open); (3, map (fun k -> Child k) (int_bound 50)) ]))
+
+let print_ops ops =
+  String.concat " "
+    (List.map (function Open -> "O" | Child k -> Printf.sprintf "c%d" k) ops)
+
+(* Span ids differ once thinning skips children, so traces compare by
+   trace, name and start. *)
+let span_key (s : Span.t) = (s.Span.trace_id, s.Span.name, s.Span.start)
+
+let prop_tracer_whole_traces =
+  QCheck.Test.make ~name:"tracer retains whole traces within capacity" ~count:300
+    QCheck.(pair (make ~print:print_ops gen_ops) (int_range 1 24))
+    (fun (ops, capacity) ->
+      let bounded = Tracer.create ~capacity () in
+      run_ops bounded ops;
+      let reference = Tracer.create ~capacity:10_000 () in
+      run_ops reference ops;
+      let again = Tracer.create ~capacity () in
+      run_ops again ops;
+      let keys tr = List.map (fun s -> (span_key s, s.Span.span_id)) (Tracer.spans tr) in
+      let retained = Tracer.spans bounded in
+      List.length retained <= capacity
+      && List.for_all
+           (fun (id, spans) ->
+             List.map span_key spans = List.map span_key (Tracer.trace_spans reference id))
+           (Tracer.traces bounded)
+      && (Tracer.total reference > capacity || keys bounded = keys reference)
+      && keys bounded = keys again
+      && Tracer.total bounded = Tracer.total again)
 
 let test_reassembly () =
   let tr = Tracer.create () in
@@ -238,6 +350,31 @@ let test_all_designs_trace () =
   let att = Mail.Scenario.run_attribute ~roam_probability:0.1 (hier_site 11) small_spec in
   check_message_traces ~label:"attribute" att
 
+let test_sampled_trace_completes_for_any_user () =
+  (* Regression: under [span_sample > 1] a sampled message must get
+     its mailbox.wait span and a finished root whichever user's check
+     retrieves it (checks used to be sampled by user id, and an
+     unsampled check left the message trace open). *)
+  let config = { Mail.Syntax_system.default_config with span_sample = 4 } in
+  let sys = Mail.Syntax_system.create ~config (hier_site 7) in
+  let users = Array.of_list (Mail.Syntax_system.users sys) in
+  let n = Array.length users in
+  for i = 0 to 199 do
+    ignore
+      (Mail.Syntax_system.submit_at sys
+         ~at:(float_of_int i)
+         ~sender:users.(i mod n)
+         ~recipient:users.((i * 7 + 3) mod n)
+         ())
+  done;
+  Mail.Syntax_system.quiesce sys;
+  Array.iter (fun u -> ignore (Mail.Syntax_system.check_mail sys u)) users;
+  let r = Telemetry.Critical_path.analyze (Mail.Syntax_system.tracer sys) in
+  Alcotest.(check int) "one trace per sampled message" 50
+    r.Telemetry.Critical_path.traces;
+  Alcotest.(check int) "every sampled trace complete"
+    r.Telemetry.Critical_path.traces r.Telemetry.Critical_path.complete
+
 let test_getmail_one_poll_per_check () =
   (* §3.1.2c: under no failures the retrieval traces must show ~1 poll
      per check — the claim behind [final_polls_per_check], asserted
@@ -288,6 +425,9 @@ let suite =
         Alcotest.test_case "span lifecycle" `Quick test_span_lifecycle;
         Alcotest.test_case "tracer ring-buffer bounds" `Quick
           test_tracer_capacity_bounds;
+        Alcotest.test_case "pinned traces survive thinning" `Quick
+          test_tracer_pinned_survive;
+        QCheck_alcotest.to_alcotest prop_tracer_whole_traces;
         Alcotest.test_case "trace reassembly" `Quick test_reassembly;
         Alcotest.test_case "JSONL and Chrome exports" `Quick test_exports;
         Alcotest.test_case "critical-path analyzer" `Quick
@@ -295,6 +435,8 @@ let suite =
         Alcotest.test_case "syntax end-to-end trace" `Slow test_syntax_end_to_end;
         Alcotest.test_case "all designs produce lifecycle traces" `Slow
           test_all_designs_trace;
+        Alcotest.test_case "sampled trace completes for any user" `Quick
+          test_sampled_trace_completes_for_any_user;
         Alcotest.test_case "3.1.2c: one poll span per check" `Slow
           test_getmail_one_poll_per_check;
       ] );
