@@ -115,24 +115,6 @@ let run ?batch problem =
   let stats = balance ?batch problem t in
   (t, stats)
 
-let assign_remaining problem t =
-  let placed = ref 0 in
-  for i = 0 to n_hosts problem - 1 do
-    let missing = problem.Assignment.populations.(i) - Assignment.assigned_of_host t i in
-    for _ = 1 to missing do
-      let best = ref 0 in
-      for j = 1 to n_servers problem - 1 do
-        if
-          Assignment.connection_cost problem t ~host:i ~server:j
-          < Assignment.connection_cost problem t ~host:i ~server:!best
-        then best := j
-      done;
-      Assignment.set t ~host:i ~server:!best (Assignment.get t ~host:i ~server:!best + 1);
-      incr placed
-    done
-  done;
-  !placed
-
 let max_utilization problem t =
   let m = ref 0. in
   for j = 0 to n_servers problem - 1 do

@@ -36,11 +36,6 @@ val balance :
 val run : ?batch:bool -> Assignment.problem -> Assignment.t * stats
 (** [initialize] + [balance]. *)
 
-val assign_remaining : Assignment.problem -> Assignment.t -> int
-(** Greedily place any users not yet assigned (after a host/server
-    reconfiguration) on their current cheapest server; returns the
-    number of users placed. *)
-
 val max_utilization : Assignment.problem -> Assignment.t -> float
 val load_imbalance : Assignment.problem -> Assignment.t -> float
 (** Max minus min utilisation over servers — 0 means perfectly even. *)

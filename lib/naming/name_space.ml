@@ -64,8 +64,6 @@ let assign_context t ctx servers = Hashtbl.replace t.assignments ctx servers
 let servers_of_context t ctx =
   match Hashtbl.find_opt t.assignments ctx with Some l -> l | None -> []
 
-let authority_servers t name = servers_of_context t (context_of t name)
-
 let rebalance_hash t ~k =
   if k <= 0 then invalid_arg "Name_space.rebalance_hash: k <= 0";
   match t.scheme with

@@ -50,9 +50,6 @@ val assign_context : t -> string -> server list -> unit
 val servers_of_context : t -> string -> server list
 (** Empty when unassigned. *)
 
-val authority_servers : t -> Name.t -> server list
-(** Replica list of the name's context. *)
-
 val rebalance_hash : t -> k:int -> int
 (** Switch a [By_hash _] space to [By_hash k]; returns how many
     registered names changed context (the reconfiguration cost of

@@ -144,13 +144,6 @@ let test_table3_degenerate_start () =
   let _ = Loadbalance.Balancer.balance p t in
   Alcotest.(check (list int)) "balanced" [] (Loadbalance.Assignment.overloaded p t)
 
-let test_assign_remaining () =
-  let p = fig1_problem () in
-  let t = Loadbalance.Assignment.empty p in
-  let placed = Loadbalance.Balancer.assign_remaining p t in
-  Alcotest.(check int) "placed everyone" 270 placed;
-  Alcotest.(check bool) "complete" true (Loadbalance.Assignment.is_complete p t)
-
 let prop_move_delta_exact =
   QCheck.Test.make ~name:"move_delta equals total_cost difference" ~count:200
     QCheck.(triple (int_range 0 5) (pair (int_range 0 2) (int_range 0 2)) (int_range 1 20))
@@ -210,7 +203,6 @@ let suite =
         Alcotest.test_case "Table 2: balanced assignment" `Quick test_table2_balanced;
         Alcotest.test_case "batch variant" `Quick test_batch_matches_single;
         Alcotest.test_case "Table 3 variant" `Quick test_table3_degenerate_start;
-        Alcotest.test_case "assign_remaining" `Quick test_assign_remaining;
         QCheck_alcotest.to_alcotest prop_move_delta_exact;
         QCheck_alcotest.to_alcotest prop_balancing_invariants;
         Alcotest.test_case "pp_table smoke" `Quick test_pp_table_smoke;

@@ -57,10 +57,12 @@ let test_assignments () =
   let sp = Naming.Name_space.create Naming.Name_space.By_host in
   let a = n "east" "h1" "u1" in
   Naming.Name_space.register sp a;
-  Alcotest.(check (list int)) "unassigned" [] (Naming.Name_space.authority_servers sp a);
+  let servers () =
+    Naming.Name_space.servers_of_context sp (Naming.Name_space.context_of sp a)
+  in
+  Alcotest.(check (list int)) "unassigned" [] (servers ());
   Naming.Name_space.assign_context sp (Naming.Name_space.context_of sp a) [ 3; 7 ];
-  Alcotest.(check (list int)) "assigned" [ 3; 7 ]
-    (Naming.Name_space.authority_servers sp a)
+  Alcotest.(check (list int)) "assigned" [ 3; 7 ] (servers ())
 
 let test_contexts_listing () =
   let sp = Naming.Name_space.create Naming.Name_space.By_host in

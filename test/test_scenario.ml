@@ -184,6 +184,22 @@ let test_arpanet_mail () =
   Alcotest.(check bool) "coast-to-coast traffic forwarded" true
     (r.Mail.Evaluation.mean_forward_hops > 0.1)
 
+let test_scenario_replicate () =
+  let spec =
+    { Mail.Scenario.default_spec with duration = 1000.; mail_count = 50; check_period = 100. }
+  in
+  let est =
+    Mail.Scenario.replicate ~runs:3
+      (Mail.Scenario.run_syntax (Netsim.Topology.paper_fig1 ()))
+      spec
+      (fun o -> o.Mail.Scenario.final_polls_per_check)
+  in
+  Alcotest.(check int) "runs" 3 est.Mail.Scenario.runs;
+  Alcotest.(check bool) "mean near 1" true
+    (est.Mail.Scenario.mean > 0.9 && est.Mail.Scenario.mean < 1.3);
+  Alcotest.(check bool) "dispersion finite" true
+    (Float.is_finite est.Mail.Scenario.stddev)
+
 let suite =
   [
     ( "scenario",
@@ -203,5 +219,6 @@ let suite =
           test_metric_name_parity;
         Alcotest.test_case "large hierarchy stress" `Slow test_large_hierarchy_stress;
         Alcotest.test_case "mail over the 1977 ARPANET" `Slow test_arpanet_mail;
+        Alcotest.test_case "replication" `Slow test_scenario_replicate;
       ] );
   ]
