@@ -1,8 +1,9 @@
-(* mailsys.analyze: type-aware static analysis over the .cmt typed
-   ASTs dune emits ([-bin-annot]).  Where mailsys.lint (bin/lint)
-   pattern-matches source syntax, this pass reads the Typedtree — so
-   it can see through local helper functions, resolve identifier paths
-   and ask what type a comparison was instantiated at.  Four rules:
+(* mailsys.analyze: the repository's static gate.  It reads the .cmt
+   typed ASTs dune emits ([-bin-annot]), so it resolves identifier
+   paths (through [open], module aliases and local helpers) and asks
+   what type a comparison was instantiated at.  Nine checks under eight
+   rule names (A4 and R2 both report poly-compare), plus the
+   [bad-suppression] meta-rule:
 
    A1 [hot-path-alloc]  for a declared hot-function set (engine step,
                         heap push/pop, Net.send, pipeline handlers,
@@ -27,29 +28,56 @@
                         (the stage list Critical_path reports on), and
                         a compilation unit that opens spans without
                         [~finish] must also contain a [Span.finish].
-   A4 [poly-compare]    type-directed upgrade of lint R2: bare
-                        [compare] and the =/<>/</>/<=/>= operators are
-                        flagged only when instantiated at a type where
-                        polymorphic comparison is actually unsafe —
-                        function types, abstract types, extensible
-                        variants, lazy values, first-class modules, or
-                        an unresolved type variable.
+   A4 [poly-compare]    bare [compare] and the =/<>/</>/<=/>= operators
+                        are flagged only when instantiated at a type
+                        where polymorphic comparison is actually
+                        unsafe — function types, abstract types,
+                        extensible variants, lazy values, first-class
+                        modules, or an unresolved type variable.
+   R1 [unsorted-fold]   a Hashtbl.fold/iter that builds a list (its
+                        callback contains a cons) inside a top-level
+                        binding with no List/Array sort — hash order
+                        escapes.
+   R2 [poly-compare]    [Hashtbl.hash]/[Hashtbl.seeded_hash] at any
+                        type; derive a typed hash instead.
+   R3 [wall-clock]      wall-clock or ambient entropy ([Sys.time],
+                        [Unix.gettimeofday], global [Random.*]); use
+                        [Dsim.Rng] or the telemetry probe.
+   R4 [stdout]          [print_*]/[Printf.printf]/[Format.printf]/
+                        [exit]/[Printexc.print_backtrace] in [lib/].
+   R5 [missing-mli]     a [lib/] module without an .mli.
 
-   Findings print in the linter's [file:line rule message] format and
-   honour the same audited [(* lint: allow <rule> — reason *)]
-   suppressions (markdown docs use [<!-- lint: allow ... -->]).  The
-   machine-readable report (ANALYSIS.json) carries schema
-   [mailsys.analysis/1]. *)
+   Findings print as [file:line rule message].  A finding is
+   suppressed by an audited comment on the same or the preceding line:
+
+     (* lint: allow <rule> — reason *)
+
+   The annotation may live inside a multi-line comment block; the
+   justification may continue over following lines, and the block
+   suppresses matching findings on any line it touches plus the line
+   directly after it.  [missing-mli] is suppressed by an allow comment
+   anywhere in the .ml; markdown docs carry [<!-- lint: allow ... -->].
+   An allow without a reason, or naming no rule, is itself reported
+   [bad-suppression].  The machine-readable report (ANALYSIS.json)
+   carries schema [mailsys.analysis/1]. *)
 
 open Typedtree
 open Asttypes
 
-type violation = Lint_core.violation = {
-  file : string;
-  line : int;
-  rule : string;
-  message : string;
-}
+type violation = { file : string; line : int; rule : string; message : string }
+
+let compare_violation a b =
+  match String.compare a.file b.file with
+  | 0 -> (
+      match Int.compare a.line b.line with
+      | 0 -> String.compare a.rule b.rule
+      | c -> c)
+  | c -> c
+
+let pp_violation ppf v =
+  Format.fprintf ppf "%s:%d %s %s" v.file v.line v.rule v.message
+
+let v file line rule message = { file; line; rule; message }
 
 (* --- the hot-function set (A1) ------------------------------------------ *)
 
@@ -113,6 +141,7 @@ type facts = {
          keep A3 quiet about spans emitted through data structures
          (e.g. hop names stored in a table and closed at the receiving
          node) *)
+  f_lint : violation list;  (* R1-R4 findings *)
 }
 
 (* --- path helpers ------------------------------------------------------- *)
@@ -377,6 +406,156 @@ let poly_site_of_ident ~file op expr =
                   pc_reason = reason;
                 }))
   | _ -> None
+
+(* --- R1-R4: determinism rules -------------------------------------------- *)
+
+let in_lib file = List.mem "lib" (String.split_on_char '/' file)
+
+(* The value path as the typechecker resolved it, Stdlib prefix
+   dropped; a prefix that is a local module alias ([module P =
+   Printf]) is expanded too. *)
+let resolved_name e p =
+  let p =
+    match p with
+    | Path.Pdot _ when not (Ident.global (Path.head p)) -> (
+        match Envaux.env_of_only_summary e.exp_env with
+        | env -> Env.normalize_value_path None env p
+        | exception _ -> p)
+    | _ -> p
+  in
+  drop_stdlib (norm_path p)
+
+(* Identifiers that break replay: polymorphic hashing, the wall clock or
+   ambient entropy anywhere, ambient output or exit in library code. *)
+let ident_rule ~lib name =
+  match String.split_on_char '.' name with
+  | [ "Hashtbl"; ("hash" | "seeded_hash") ] ->
+      Some
+        ( "poly-compare",
+          "polymorphic Hashtbl.hash; derive a typed hash from \
+           String.hash/Int.hash instead" )
+  | [ "Sys"; "time" ] ->
+      Some
+        ( "wall-clock",
+          "Sys.time reads the wall clock; sim code must use virtual time \
+           (Dsim.Engine.now) or go through the telemetry probe" )
+  | [ "Unix"; (("gettimeofday" | "time" | "gmtime" | "localtime") as f) ] ->
+      Some
+        ( "wall-clock",
+          Printf.sprintf
+            "Unix.%s reads the wall clock; sim code must use virtual time \
+             (Dsim.Engine.now)"
+            f )
+  | [ "Random"; f ] ->
+      Some
+        ( "wall-clock",
+          Printf.sprintf
+            "Random.%s uses ambient global entropy; use Dsim.Rng with an \
+             explicit seed"
+            f )
+  | [ (( "print_endline" | "print_string" | "print_newline" | "print_int"
+       | "print_float" | "print_char" ) as f) ]
+    when lib ->
+      Some
+        ( "stdout",
+          Printf.sprintf
+            "%s writes to stdout from library code; return data or take a \
+             formatter"
+            f )
+  | [ "exit" ] when lib ->
+      Some ("stdout", "exit from library code; raise or return an error instead")
+  | [ (("Printf" | "Format") as m); "printf" ] when lib ->
+      Some
+        ( "stdout",
+          Printf.sprintf
+            "%s.printf writes to stdout from library code; take a formatter \
+             argument"
+            m )
+  | [ "Printexc"; "print_backtrace" ] when lib ->
+      Some
+        ( "stdout",
+          "Printexc.print_backtrace writes to an ambient channel from library \
+           code" )
+  | _ -> None
+
+let sort_fns =
+  [ "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort";
+    "Array.sort"; "Array.stable_sort"; "Array.fast_sort" ]
+
+let contains_cons e =
+  let found = ref false in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_construct (_, { Types.cstr_name = "::"; _ }, _) -> found := true
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.expr it e;
+  !found
+
+(* The ident rules over one top-level binding, and R1 with the binding
+   as its scope: a Hashtbl fold/iter whose callback conses lets hash
+   order escape unless the same binding sorts. *)
+let binding_findings ~file e =
+  let lib = in_lib file in
+  let found = ref [] and folds = ref [] and sorts = ref false in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_ident (p, _, _) -> (
+              let name = resolved_name e p in
+              if List.mem name sort_fns then sorts := true;
+              match ident_rule ~lib name with
+              | Some (rule, message) ->
+                  found := v file (line_of e.exp_loc) rule message :: !found
+              | None -> ())
+          | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args)
+            when List.mem (resolved_name fn p) [ "Hashtbl.fold"; "Hashtbl.iter" ]
+                 && List.exists
+                      (fun (_, a) -> Option.fold ~none:false ~some:contains_cons a)
+                      args ->
+              folds := line_of e.exp_loc :: !folds
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.expr it e;
+  let unsorted line =
+    v file line "unsorted-fold"
+      "Hashtbl fold/iter builds a list but the binding never sorts; hash \
+       order escapes — List.sort with a typed comparator before the result \
+       leaves this function"
+  in
+  List.rev_append !found (if !sorts then [] else List.map unsorted !folds)
+
+let rec determinism_findings ~file str =
+  List.concat_map
+    (fun item ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) ->
+          List.concat_map (fun vb -> binding_findings ~file vb.vb_expr) vbs
+      | Tstr_eval (e, _) -> binding_findings ~file e
+      | Tstr_module mb -> module_findings ~file mb.mb_expr
+      | Tstr_recmodule mbs ->
+          List.concat_map (fun mb -> module_findings ~file mb.mb_expr) mbs
+      | Tstr_include incl -> module_findings ~file incl.incl_mod
+      | _ -> [])
+    str.str_items
+
+and module_findings ~file me =
+  match me.mod_desc with
+  | Tmod_structure str -> determinism_findings ~file str
+  | Tmod_functor (_, body) -> module_findings ~file body
+  | Tmod_constraint (me, _, _, _) -> module_findings ~file me
+  | _ -> []
 
 (* --- A2/A3: name extraction --------------------------------------------- *)
 
@@ -695,14 +874,19 @@ let scan_cmt ?(hot_set = default_hot_set) path =
           f_monitor_refs = monitor_refs;
           f_poly = poly;
           f_strings = strings;
+          f_lint = determinism_findings ~file str;
         }
   | _ -> None
 
 let rec collect_cmts path acc =
   if not (Sys.file_exists path) then acc
   else if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left (fun acc e -> collect_cmts (Filename.concat path e) acc) acc
+    (* ocamlopt writes a second .cmt under native/ when -bin-annot is a
+       common flag; the byte/ one is the unit's single copy *)
+    if String.equal (Filename.basename path) "native" then acc
+    else
+      Sys.readdir path |> Array.to_list |> List.sort String.compare
+      |> List.fold_left (fun acc e -> collect_cmts (Filename.concat path e) acc) acc
   else if Filename.check_suffix path ".cmt" then path :: acc
   else acc
 
@@ -800,8 +984,6 @@ let baseline_to_json entries =
     ]
 
 (* --- findings ----------------------------------------------------------- *)
-
-let v file line rule message = { file; line; rule; message }
 
 type a1_result = {
   a1_findings : violation list;
@@ -1002,12 +1184,224 @@ let a4_findings facts_list =
         f.f_poly)
     facts_list
 
+(* --- suppression comments ---------------------------------------------- *)
+
+type allow = {
+  a_line : int;  (* line carrying the "lint: allow" marker *)
+  a_until : int;  (* last line the suppression covers (comment block
+                     end + 1, so an annotation above a construct works
+                     even when the justification spans lines) *)
+  a_rule : string;
+  a_reason : bool;
+}
+
+let rules =
+  [ "hot-path-alloc"; "metric-name"; "span-drift"; "poly-compare";
+    "unsorted-fold"; "wall-clock"; "stdout"; "missing-mli" ]
+
+(* Comment blocks [(start_offset, end_offset_exclusive, end_line)] of
+   the source, honouring nesting and string literals (both outside and
+   inside comments — OCaml lexes strings within comments).  Best
+   effort: a miss only costs a (visible) finding. *)
+let comment_blocks source =
+  let n = String.length source in
+  let line = ref 1 in
+  let blocks = ref [] in
+  let i = ref 0 in
+  let bump c = if c = '\n' then incr line in
+  (* skip a string literal starting at [i] (source.[i] = '"') *)
+  let skip_string () =
+    incr i;
+    let rec go () =
+      if !i < n then
+        match source.[!i] with
+        | '"' -> incr i
+        | '\\' when !i + 1 < n ->
+            bump source.[!i + 1];
+            i := !i + 2;
+            go ()
+        | c ->
+            bump c;
+            incr i;
+            go ()
+    in
+    go ()
+  in
+  let rec skip_comment depth start =
+    if !i >= n then blocks := (start, n, !line) :: !blocks
+    else if !i + 1 < n && source.[!i] = '*' && source.[!i + 1] = ')' then begin
+      i := !i + 2;
+      if depth = 1 then blocks := (start, !i, !line) :: !blocks
+      else skip_comment (depth - 1) start
+    end
+    else if !i + 1 < n && source.[!i] = '(' && source.[!i + 1] = '*' then begin
+      i := !i + 2;
+      skip_comment (depth + 1) start
+    end
+    else if source.[!i] = '"' then begin
+      skip_string ();
+      skip_comment depth start
+    end
+    else begin
+      bump source.[!i];
+      incr i;
+      skip_comment depth start
+    end
+  in
+  while !i < n do
+    if !i + 1 < n && source.[!i] = '(' && source.[!i + 1] = '*' then begin
+      let start = !i in
+      i := !i + 2;
+      skip_comment 1 start
+    end
+    else if source.[!i] = '"' then skip_string ()
+    else if
+      (* char literal '"' would otherwise open a bogus string *)
+      !i + 2 < n && source.[!i] = '\'' && source.[!i + 2] = '\''
+      && source.[!i + 1] <> '\\'
+    then begin
+      bump source.[!i + 1];
+      i := !i + 3
+    end
+    else begin
+      bump source.[!i];
+      incr i
+    end
+  done;
+  List.rev !blocks
+
+(* Find "lint: allow <rule>[ — reason]" annotations.  The marker, the
+   rule and the reason may be spread across the lines of one comment
+   block; outside any block (e.g. markdown files, where suppressions
+   ride in "<!-- lint: allow ... -->" comments) the annotation is read
+   to the end of its line. *)
+let scan_allows source =
+  let marker = "lint: allow " in
+  let mlen = String.length marker in
+  let n = String.length source in
+  let blocks = comment_blocks source in
+  (* offset -> line, via a simple forward walk over all marker hits *)
+  let hits = ref [] in
+  let line = ref 1 in
+  for i = 0 to n - 1 do
+    if source.[i] = '\n' then incr line
+    else if i + mlen <= n && String.sub source i mlen = marker then
+      hits := (i, !line) :: !hits
+  done;
+  let line_end_of_offset off =
+    (* line number of the last line touched by [0, off) *)
+    let l = ref 1 in
+    for i = 0 to off - 1 do
+      if source.[i] = '\n' then incr l
+    done;
+    !l
+  in
+  List.rev_map
+    (fun (off, lnum) ->
+      let text_end, until =
+        match
+          List.find_opt (fun (s, e, _) -> off >= s && off < e) blocks
+        with
+        | Some (_, e, _) ->
+            (* strip the closing "*)" so a flush rule name parses *)
+            let e' = if e >= 2 then e - 2 else e in
+            (max (off + mlen) e', line_end_of_offset e + 1)
+        | None ->
+            let eol =
+              match String.index_from_opt source off '\n' with
+              | Some j -> j
+              | None -> n
+            in
+            (eol, lnum + 1)
+      in
+      let text = String.sub source (off + mlen) (text_end - (off + mlen)) in
+      (* collapse the block's newlines: the annotation reads as one line *)
+      let text =
+        String.map (function '\n' | '\r' | '\t' -> ' ' | c -> c) text
+      in
+      let text = String.trim text in
+      let rule =
+        match String.index_opt text ' ' with
+        | Some i -> String.sub text 0 i
+        | None -> text
+      in
+      let after =
+        String.sub text (String.length rule) (String.length text - String.length rule)
+      in
+      (* audited: the comment must carry a reason after a dash *)
+      let has_reason =
+        let dash i =
+          (* "—" (U+2014, 3 bytes) or "-" *)
+          after.[i] = '-'
+          || (i + 2 < String.length after
+             && Char.code after.[i] = 0xE2
+             && Char.code after.[i + 1] = 0x80)
+        in
+        let rec scan i seen_dash =
+          if i >= String.length after then false
+          else if seen_dash then
+            (* any word character after the dash counts as a reason *)
+            match after.[i] with
+            | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true
+            | _ -> scan (i + 1) true
+          else if dash i then scan (i + 1) true
+          else scan (i + 1) false
+        in
+        scan 0 false
+      in
+      (* Prose merely mentioning the syntax (placeholders like
+         "<rule>") is not an annotation. *)
+      let rule_shaped =
+        String.length rule > 0
+        && String.for_all (function 'a' .. 'z' | '-' -> true | _ -> false) rule
+      in
+      if rule_shaped then
+        Some { a_line = lnum; a_until = until; a_rule = rule; a_reason = has_reason }
+      else None)
+    !hits
+  |> List.filter_map Fun.id
+  |> List.sort (fun a b -> Int.compare a.a_line b.a_line)
+
+(* [missing-mli] is file-scoped: an allow anywhere in the .ml counts. *)
+let suppressed allows ~rule ~line =
+  List.exists
+    (fun a ->
+      String.equal a.a_rule rule && a.a_reason
+      && (String.equal rule "missing-mli"
+         || (line >= a.a_line && line <= a.a_until)))
+    allows
+
+let allow_violations file allows =
+  List.filter_map
+    (fun a ->
+      if not (List.mem a.a_rule rules) then
+        Some
+          {
+            file;
+            line = a.a_line;
+            rule = "bad-suppression";
+            message =
+              Printf.sprintf "unknown rule %S in lint: allow comment" a.a_rule;
+          }
+      else if not a.a_reason then
+        Some
+          {
+            file;
+            line = a.a_line;
+            rule = "bad-suppression";
+            message =
+              Printf.sprintf
+                "suppression of %s must carry a reason: (* lint: allow %s — why *)"
+                a.a_rule a.a_rule;
+          }
+      else None)
+    allows
+
 (* --- suppression filtering ---------------------------------------------- *)
 
 (* [read_source] maps a finding's file to its text (None = unreadable,
-   keep the finding).  Reuses the linter's audited-allow scanner, so
-   the same [(* lint: allow <rule> — reason *)] annotations govern
-   both passes; markdown files carry them in HTML comments. *)
+   keep the finding); markdown files carry their allows in HTML
+   comments. *)
 let filter_suppressed ~read_source violations =
   let cache = Hashtbl.create 16 in
   let allows_for file =
@@ -1016,7 +1410,7 @@ let filter_suppressed ~read_source violations =
     | None ->
         let allows =
           match read_source file with
-          | Some src -> Lint_core.scan_allows src
+          | Some src -> scan_allows src
           | None -> []
         in
         Hashtbl.replace cache file allows;
@@ -1025,13 +1419,13 @@ let filter_suppressed ~read_source violations =
   List.filter
     (fun (viol : violation) ->
       not
-        (Lint_core.suppressed (allows_for viol.file) ~rule:viol.rule
+        (suppressed (allows_for viol.file) ~rule:viol.rule
            ~line:viol.line))
     violations
 
 let read_source_from_disk file =
   if Sys.file_exists file && not (Sys.is_directory file) then
-    Some (Lint_core.read_file file)
+    Some (In_channel.with_open_bin file In_channel.input_all)
   else None
 
 (* --- ANALYSIS.json ------------------------------------------------------ *)
@@ -1155,10 +1549,33 @@ let analyze_tree ?(hot_set = default_hot_set) ?(baseline_file = "analysis_baseli
     @ a3_findings ~doc_file:(fst tracing_doc) ~documented:documented_spans
         facts_list
     @ a4_findings facts_list
+    @ List.concat_map (fun f -> f.f_lint) facts_list
+  in
+  (* R5 and bad-suppression read each unit's .ml and .mli; R5 flags a
+     readable lib/ .ml whose .mli is not. *)
+  let sources =
+    List.map
+      (fun f ->
+        List.filter_map
+          (fun file -> Option.map (fun src -> (file, src)) (read_source file))
+          [ f.f_file; f.f_file ^ "i" ])
+      facts_list
+  in
+  let missing_mli = function
+    | [ (file, _) ] when in_lib file && Filename.check_suffix file ".ml" ->
+        [
+          v file 1 "missing-mli"
+            "library module has no .mli; every lib/ module must state its \
+             interface";
+        ]
+    | _ -> []
   in
   let findings =
-    filter_suppressed ~read_source findings
-    |> List.sort Lint_core.compare_violation
+    filter_suppressed ~read_source (findings @ List.concat_map missing_mli sources)
+    @ List.concat_map
+        (fun (file, src) -> allow_violations file (scan_allows src))
+        (List.concat sources)
+    |> List.sort compare_violation
   in
   {
     an_facts = facts_list;

@@ -1,7 +1,7 @@
-(* mailsys.analyze CLI: run the type-aware analyses (A1 hot-path
-   allocation ratchet, A2 metric-name consistency, A3 span drift, A4
-   typed poly-compare) over the .cmt files dune emitted for the given
-   source directories.
+(* mailsys.analyze CLI: run the static gate (the determinism rules,
+   the hot-path allocation ratchet, metric-name and span doc parity,
+   typed poly-compare — Analyze_core) over the .cmt files dune emitted
+   for the given source directories.
 
      mailsys.analyze [options] [DIR...]        (default: lib bin)
 
@@ -16,9 +16,10 @@
      --docs-metrics FILE  metric catalogue (default docs/METRICS.md)
      --docs-tracing FILE  span stage tables (default docs/TRACING.md)
 
-   Requires a completed [dune build @check] (or full build): .cmt
-   files are a build artifact.  Exits 1 when findings survive
-   suppression, 2 on usage errors. *)
+   Requires a completed [dune build @check], which writes a .cmt for
+   every module (a full build skips executables' modules that have an
+   .mli).  Exits 1 when findings survive suppression, 2 on usage
+   errors. *)
 
 let usage () =
   prerr_endline
@@ -118,7 +119,7 @@ let () =
       exit 0
   | findings ->
       List.iter
-        (fun v -> Format.printf "%a@." Lint_core.pp_violation v)
+        (fun v -> Format.printf "%a@." Analyze_core.pp_violation v)
         findings;
       Printf.eprintf "mailsys.analyze: %d finding(s)\n" (List.length findings);
       exit 1

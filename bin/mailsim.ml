@@ -150,9 +150,8 @@ let getmail_cmd =
   let trace_file =
     Cmdline.output_file ~flag:"trace-out"
       ~doc:
-        "Write the run's spans and event log to $(docv) as JSONL: one object \
-         per line, tagged type=span (per-message and per-check trace spans) or \
-         type=log (the bounded simulation event log)."
+        "Write the run's trace spans (per-message and per-check) to $(docv) \
+         as JSONL: one object per line, each tagged type=span."
   in
   let trace_summary =
     Arg.(
@@ -404,10 +403,7 @@ let scale_cmd =
 (* --- monitor ------------------------------------------------------------ *)
 
 let monitor_cmd =
-  (* [--stable] is accepted for interface symmetry but has nothing to
-     scrub here: the timeseries never samples volatile metrics. *)
-  let run seed duration mail_count campaign rules resolution timeseries_file
-      _stable =
+  let run seed duration mail_count campaign rules resolution timeseries_file =
     let campaign =
       match campaign with
       | Some s -> Netsim.Fault.parse s
@@ -500,8 +496,7 @@ let monitor_cmd =
     Term.(
       const run $ seed_arg $ Cmdline.duration
       $ Cmdline.messages ~default:300
-      $ campaign $ rules $ Cmdline.resolution $ Cmdline.timeseries_file
-      $ Cmdline.stable)
+      $ campaign $ rules $ Cmdline.resolution $ Cmdline.timeseries_file)
 
 (* --- replicas ---------------------------------------------------------- *)
 

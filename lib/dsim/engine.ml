@@ -153,8 +153,6 @@ let pending t =
 let set_instrument ?(timer = fun () -> 0.) t report =
   t.instrument <- Some { timer; report }
 
-let clear_instrument t = t.instrument <- None
-
 let profile t =
   let acc = ref [] in
   for id = t.cat_count - 1 downto 0 do

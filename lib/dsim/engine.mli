@@ -103,8 +103,6 @@ val set_instrument : ?timer:(unit -> float) -> t -> (seconds:float -> unit) -> u
     with the elapsed time measured with [timer] (default: a zero
     clock, so [seconds] is 0 unless a real timer is supplied). *)
 
-val clear_instrument : t -> unit
-
 val handler_seconds : t -> float
 (** Cumulative instrumented run-slice seconds (0 without a timer). *)
 

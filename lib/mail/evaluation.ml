@@ -90,7 +90,6 @@ let of_system (type a) (module M : System_intf.S with type t = a) (sys : a) =
 
 let of_syntax sys = of_system (module System.Syntax) sys
 let of_location sys = of_system (module System.Location) sys
-let of_packed (System.Packed ((module M), sys)) = of_system (module M) sys
 
 let pp ppf r =
   Format.fprintf ppf

@@ -57,6 +57,4 @@ val of_system : (module System_intf.S with type t = 'a) -> 'a -> report
 val of_syntax : Syntax_system.t -> report
 val of_location : Location_system.t -> report
 
-val of_packed : System.t -> report
-
 val pp : Format.formatter -> report -> unit

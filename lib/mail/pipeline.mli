@@ -209,11 +209,6 @@ val server_utilisation : 'ctrl t -> Netsim.Graph.node -> float
 (** Fraction of elapsed virtual time the server spent serving; 0 when
     the service model is off or the server handled nothing. *)
 
-val dedup_entries : 'ctrl t -> int
-(** Current size of the dedup/bookkeeping tables (completed rounds,
-    dead set, emitted submit spans, in-flight hop markers) — what
-    {!compact} bounds on long runs. *)
-
 val prunable : 'ctrl t -> ledger:Ledger.t -> Message.id -> bool
 (** [prunable t ~ledger] snapshots the ids still referenced by live
     pipeline machinery (pending transfers, queued copies, armed

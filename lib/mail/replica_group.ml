@@ -158,8 +158,6 @@ let copies t id =
   | None -> []
   | Some c -> List.sort Int.compare c.nodes
 
-let no_copies t id = not (Hashtbl.mem t.copies id)
-
 (* Drop the copy of [id] held on [node] without serving it.  [kind]
    names the counter: purge-on-fetch vs recovery resync. *)
 let purge_copy t ~kind ~node (c : copy_state) id =
@@ -304,7 +302,6 @@ let publish_gauges t ~users reg =
       else if up < total then incr degraded)
     distinct;
   let holders_up =
-    (* lint: allow unsorted-fold — order-independent count *)
     Hashtbl.fold
       (fun node _ acc -> if t.is_up node then acc + 1 else acc)
       t.holders 0
@@ -323,11 +320,8 @@ let cleanup_all t ~now ~max_age =
     (fun acc node -> acc + Server.cleanup (holder t node) ~now ~max_age)
     0 (nodes t)
 
-let tracked_ids t = Hashtbl.length t.retrieved + Hashtbl.length t.copies
-
 let compact t keep_out =
   let doomed =
-    (* lint: allow unsorted-fold — collects ids only; sorted before removal *)
     Hashtbl.fold (fun id () acc -> if keep_out id then id :: acc else acc) t.retrieved []
     |> List.sort Int.compare
   in

@@ -98,8 +98,6 @@ val note_recovery : t -> node:Netsim.Graph.node -> at:float -> unit
 val copies : t -> Message.id -> Netsim.Graph.node list
 (** Holders with an unfetched copy of the id, sorted. *)
 
-val no_copies : t -> Message.id -> bool
-
 val view : t -> User_agent.server_view
 (** The agent-facing view of the group: liveness, [LastStartTime] and
     {!fetch} — GetMail's ordered-scan machinery works unchanged on
@@ -121,10 +119,6 @@ val publish_gauges : t -> users:(unit -> int list) -> Telemetry.Registry.t -> un
 
 val cleanup_all : t -> now:float -> max_age:float -> int
 (** Run the archive clean-up policy over every holder. *)
-
-val tracked_ids : t -> int
-(** Size of the retrieved-set plus live copy table — what {!compact}
-    bounds. *)
 
 val compact : t -> (Message.id -> bool) -> int
 (** Drop retrieved-set entries for settled ids (predicate from

@@ -67,10 +67,6 @@ end
 
 type t = Packed : (module S with type t = 'a) * 'a -> t
 
-let pack_syntax sys = Packed ((module Syntax), sys)
-let pack_location sys = Packed ((module Location), sys)
-let pack_attribute sys = Packed ((module Attribute), sys)
-
 let design (Packed ((module M), _)) = M.design
 let metrics (Packed ((module M), sys)) = M.metrics sys
 let tracer (Packed ((module M), sys)) = M.tracer sys

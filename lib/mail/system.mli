@@ -19,10 +19,6 @@ module Attribute : S with type t = Attribute_system.t
 
 type t = Packed : (module S with type t = 'a) * 'a -> t
 
-val pack_syntax : Syntax_system.t -> t
-val pack_location : Location_system.t -> t
-val pack_attribute : Attribute_system.t -> t
-
 val design : t -> string
 val metrics : t -> Telemetry.Registry.t
 

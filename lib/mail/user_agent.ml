@@ -47,8 +47,6 @@ let previously_unavailable t =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd
 
-let last_checking_time t = t.last_checking
-
 type server_view = {
   is_alive : Netsim.Graph.node -> bool;
   last_start : Netsim.Graph.node -> float;
@@ -245,8 +243,6 @@ let naive_check ?tracer ?ledger t ~view ~now =
   let stats = { polls = !polls; failed_polls = !failed; retrieved = !retrieved } in
   close stats;
   stats
-
-let seen_size t = Hashtbl.length t.seen
 
 let compact t prunable =
   let doomed =

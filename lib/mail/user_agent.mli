@@ -50,8 +50,6 @@ val previously_unavailable : t -> Netsim.Graph.node list
     Maintained in a hash table internally, so marking and clearing a
     server is O(1) per check instead of the former O(n) list scans. *)
 
-val last_checking_time : t -> float
-
 (** How the agent sees the servers: liveness, [LastStartTime], and a
     fetch operation. *)
 type server_view = {
@@ -106,9 +104,6 @@ val naive_check :
     unavailability state — mail deposited on other servers during
     outages is never found.  Traced and ledgered like {!get_mail},
     with mode ["naive"]. *)
-
-val seen_size : t -> int
-(** Current size of the dedup ([seen]) table. *)
 
 val compact : t -> (Message.id -> bool) -> int
 (** [compact t prunable] drops dedup entries for settled messages

@@ -94,15 +94,6 @@ let pp_value ppf = function
            Format.pp_print_string)
         ws
 
-let pp_attr ppf a =
-  let vis =
-    match a.visibility with
-    | Public -> ""
-    | Org o -> Printf.sprintf " [org:%s]" o
-    | Private -> " [private]"
-  in
-  Format.fprintf ppf "%s=%a%s" a.key pp_value a.value vis
-
 let rec pp_pred ppf = function
   | Eq (k, v) -> Format.fprintf ppf "%s = %a" k pp_value v
   | Has_key k -> Format.fprintf ppf "has(%s)" k

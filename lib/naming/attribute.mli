@@ -56,5 +56,4 @@ val matches : viewer:viewer -> attrs:attr list -> pred -> bool
     viewer.  [And \[\]] is true, [Or \[\]] is false. *)
 
 val pp_value : Format.formatter -> value -> unit
-val pp_attr : Format.formatter -> attr -> unit
 val pp_pred : Format.formatter -> pred -> unit

@@ -18,8 +18,6 @@ type fault =
 
 type campaign = { seed : int; faults : fault list }
 
-let no_faults = { seed = 0; faults = [] }
-
 type target = Node of Graph.node | Link of Graph.node * Graph.node
 
 type window = { target : target; kind : string; start : float; duration : float }

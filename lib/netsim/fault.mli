@@ -43,9 +43,6 @@ type fault =
 
 type campaign = { seed : int; faults : fault list }
 
-val no_faults : campaign
-(** [{ seed = 0; faults = [] }]. *)
-
 type target = Node of Graph.node | Link of Graph.node * Graph.node
 
 type window = {

@@ -25,13 +25,6 @@ val path : tree -> Graph.node -> Graph.node list option
 val hop_count : tree -> Graph.node -> int option
 (** Edges on the shortest path; [Some 0] for the source itself. *)
 
-val tree_links : tree -> (Graph.node * Graph.node) list
-(** The undirected links the tree routes over — one normalised
-    [(min, max)] endpoint pair per reachable non-source node's
-    predecessor edge — sorted and distinct.  This is exactly the set
-    of links whose outage can change any answer the tree gives, which
-    is what {!Net}'s scoped route-cache invalidation indexes. *)
-
 val first_hops : tree -> Graph.node array
 (** Next-hop table derived from an already-computed tree: for every
     destination [d], the neighbour of the tree's source that begins

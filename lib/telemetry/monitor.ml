@@ -441,16 +441,6 @@ let summary t =
       })
     t.rules
 
-let alert_to_json a =
-  Json.Obj
-    [
-      ("rule", Json.String a.a_rule);
-      ("window", Json.Int a.a_window);
-      ("time", Json.Float a.a_time);
-      ("value", Json.Float a.a_value);
-      ("message", Json.String a.a_message);
-    ]
-
 let summary_to_json t =
   Json.Obj
     [

@@ -121,8 +121,6 @@ type rule_summary = {
 val summary : t -> rule_summary list
 (** One summary per rule, in declaration order. *)
 
-val alert_to_json : alert -> Json.t
-
 val summary_to_json : t -> Json.t
 (** The BENCH.json [slo] section:
     [{"windows","alerts","slo_violated",

@@ -51,8 +51,6 @@ let create ?(labels = []) () =
 let mark_volatile t name = Hashtbl.replace t.volatile name ()
 let is_volatile t name = Hashtbl.mem t.volatile name
 
-let base_labels t = t.base
-
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
 let find_or_create t name labels make expect =
@@ -100,7 +98,6 @@ let gauge ?(labels = []) t name =
 
 let set_gauge g v = g.g <- v
 let add_gauge g v = g.g <- g.g +. v
-let gauge_value g = g.g
 
 let get_gauge ?(labels = []) t name =
   match Hashtbl.find_opt t.tbl (name, normalise_labels labels) with

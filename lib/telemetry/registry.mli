@@ -26,8 +26,6 @@ val create : ?labels:labels -> unit -> t
 (** Fresh registry; [labels] become the base labels stamped on every
     metric when serialising. *)
 
-val base_labels : t -> labels
-
 (** {1 Counters} *)
 
 val counter : ?labels:labels -> t -> string -> counter
@@ -49,7 +47,6 @@ val get_counter : ?labels:labels -> t -> string -> int
 val gauge : ?labels:labels -> t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val get_gauge : ?labels:labels -> t -> string -> float
 (** [nan] when the metric does not exist. *)

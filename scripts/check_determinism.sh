@@ -6,7 +6,7 @@
 # under OCAMLRUNPARAM=R (randomized Hashtbl seeds), and fails unless
 # every artifact is byte-identical between the two runs.  Randomized
 # hashing makes any Hashtbl-iteration-order leak visible immediately;
-# the companion static pass is `dune exec mailsys.lint -- lib bin`.
+# the companion static pass is mailsys.analyze (`make analyze`).
 #
 # Usage: scripts/check_determinism.sh   (from the repository root)
 set -eu
@@ -14,7 +14,7 @@ set -eu
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$ROOT"
 
-dune build @all bin/lint >/dev/null
+dune build @all >/dev/null
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/mailsys-determinism.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT

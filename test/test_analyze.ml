@@ -1,8 +1,9 @@
-(* Tests for the type-aware analyzer (bin/analyze) over the compiled
-   fixture corpus in [analyze_fixtures/]: building that library is
-   what produces the .cmt files fed to Analyze_core, so every rule is
-   exercised on real typed ASTs.  Docs and baselines are injected
-   through [~read_source], never read from disk. *)
+(* Tests for the static gate (bin/analyze) over the compiled fixture
+   corpus in [analyze_fixtures/]: building that library is what
+   produces the .cmt files fed to Analyze_core, so every rule is
+   exercised on real typed ASTs.  For A1-A4, docs and baselines are
+   injected through [~read_source]; the determinism rules read the
+   fixture sources from disk so their allow comments apply. *)
 
 let objs = Filename.concat "analyze_fixtures" ".analyze_fixtures.objs/byte"
 let cmt name = Filename.concat objs ("analyze_fixtures__Fix_" ^ name ^ ".cmt")
@@ -28,11 +29,11 @@ let run ?(hot = []) ?(baseline = "") ?(metrics = []) ?(spans = []) cmts =
 
 let findings analysis =
   List.map
-    (fun v -> (v.Lint_core.line, v.Lint_core.rule))
+    (fun v -> (v.Analyze_core.line, v.Analyze_core.rule))
     analysis.Analyze_core.an_findings
 
 let messages analysis =
-  List.map (fun v -> v.Lint_core.message) analysis.Analyze_core.an_findings
+  List.map (fun v -> v.Analyze_core.message) analysis.Analyze_core.an_findings
 
 let contains hay needle =
   let h = String.length hay and n = String.length needle in
@@ -209,14 +210,14 @@ let test_a4_ok () =
     "ground types, containers, records and variants are not flagged" []
     (run [ cmt "poly_ok" ])
 
-(* --- shared suppression machinery ---------------------------------------- *)
+(* --- suppression filtering ------------------------------------------------ *)
 
 let test_suppression_filter () =
   let read_source _ =
     Some "let x = 1 (* lint: allow metric-name — covered by fixture *)\n"
   in
   let viol rule =
-    { Lint_core.file = "x.ml"; line = 1; rule; message = "m" }
+    { Analyze_core.file = "x.ml"; line = 1; rule; message = "m" }
   in
   let kept =
     Analyze_core.filter_suppressed ~read_source
@@ -224,7 +225,7 @@ let test_suppression_filter () =
   in
   Alcotest.(check (list string))
     "only the matching rule is suppressed" [ "span-drift" ]
-    (List.map (fun v -> v.Lint_core.rule) kept)
+    (List.map (fun v -> v.Analyze_core.rule) kept)
 
 (* --- report and baseline serialisation ----------------------------------- *)
 
@@ -280,6 +281,99 @@ let test_doc_parsing () =
     [ ("forward.hop", 2) ]
     (Analyze_core.doc_span_names "\n| `forward.hop` | x |\n")
 
+(* --- determinism rules (R1, R3-R5, Hashtbl.hash) and allow comments ------- *)
+
+(* A unit's source path is relative to the build root, one level above
+   the test's working directory. *)
+let lint names =
+  Analyze_core.analyze_tree ~hot_set:[] ~baseline_file:"baseline.json"
+    ~read_source:(fun f -> Analyze_core.read_source_from_disk ("../" ^ f))
+    ~metrics_doc:("METRICS.md", []) ~tracing_doc:("TRACING.md", [])
+    (List.map cmt names)
+
+let check_lint msg expected names = check_rules msg expected (lint names)
+
+let lint_fixtures =
+  [ "fold_bad"; "fold_ok"; "hash_bad"; "compare_ok"; "clock_bad"; "allow_ok";
+    "allow_multiline"; "allow_bad"; "stdout_bad"; "stdout_open"; "stdout_cli";
+    "no_mli"; "with_mli" ]
+
+let test_unsorted_fold () =
+  check_lint "fold consing without a sort is flagged"
+    [ (4, "unsorted-fold") ] [ "fold_bad" ]
+
+let test_sorted_fold_ok () =
+  check_lint "sorted escape and pure aggregation pass" [] [ "fold_ok" ]
+
+let test_poly_hash () =
+  check_lint "Hashtbl.hash flagged, bare compare at int left alone"
+    [ (7, "poly-compare") ] [ "hash_bad" ]
+
+let test_typed_compare_ok () =
+  check_lint "typed comparators and a module-local compare pass" []
+    [ "compare_ok" ]
+
+let test_wall_clock () =
+  check_lint "Sys.time, Unix.gettimeofday and global Random are flagged"
+    [ (3, "wall-clock"); (5, "wall-clock"); (7, "wall-clock") ]
+    [ "clock_bad" ]
+
+let test_suppression_ok () =
+  check_lint "audited allow comments (preceding or same line) suppress" []
+    [ "allow_ok" ]
+
+let test_multiline_allow () =
+  check_lint "allow annotations inside multi-line comment blocks suppress" []
+    [ "allow_multiline" ]
+
+let test_bad_suppression () =
+  (* A reason-less allow does not suppress (the finding survives) and is
+     itself reported; so is an unknown rule name. *)
+  check_lint "reason-less and unknown-rule allows are reported"
+    [ (4, "bad-suppression"); (5, "wall-clock"); (7, "bad-suppression") ]
+    [ "allow_bad" ]
+
+let test_stdout_in_lib () =
+  check_lint "print/printf/exit under a lib/ path are flagged"
+    [ (4, "stdout"); (6, "stdout"); (8, "stdout") ]
+    [ "stdout_bad" ]
+
+let test_stdout_through_open () =
+  check_lint "printf through open Printf and a module alias is flagged"
+    [ (7, "stdout"); (11, "stdout") ]
+    [ "stdout_open" ]
+
+let test_stdout_outside_lib_ok () =
+  check_lint "no stdout findings outside lib/" [] [ "stdout_cli" ]
+
+let test_missing_mli () =
+  (* Only the lib/ module without an interface and without a file-level
+     allow is reported: fix_with_mli has an .mli, the stdout fixtures
+     carry an audited allow, the rest are outside lib/. *)
+  Alcotest.(check (list string))
+    "exactly the uninterfaced module"
+    [ "test/analyze_fixtures/lib/fix_no_mli.ml" ]
+    (List.filter_map
+       (fun v ->
+         if String.equal v.Analyze_core.rule "missing-mli" then
+           Some v.Analyze_core.file
+         else None)
+       (lint lint_fixtures).Analyze_core.an_findings)
+
+let test_tree_aggregates () =
+  let vs = (lint lint_fixtures).Analyze_core.an_findings in
+  let count rule =
+    List.length (List.filter (fun v -> String.equal v.Analyze_core.rule rule) vs)
+  in
+  Alcotest.(check int) "unsorted-fold count" 1 (count "unsorted-fold");
+  Alcotest.(check int) "poly-compare count" 1 (count "poly-compare");
+  Alcotest.(check int) "wall-clock count" 4 (count "wall-clock");
+  Alcotest.(check int) "stdout count" 5 (count "stdout");
+  Alcotest.(check int) "missing-mli count" 1 (count "missing-mli");
+  Alcotest.(check int) "bad-suppression count" 2 (count "bad-suppression");
+  let sorted = List.sort Analyze_core.compare_violation vs in
+  Alcotest.(check bool) "output is canonically sorted" true (vs = sorted)
+
 let suite =
   [
     ( "analyze",
@@ -305,12 +399,34 @@ let suite =
           test_a3_ok;
         Alcotest.test_case "A4: unsafe comparisons flagged" `Quick test_a4_bad;
         Alcotest.test_case "A4: safe comparisons pass" `Quick test_a4_ok;
-        Alcotest.test_case "suppressions shared with the linter" `Quick
+        Alcotest.test_case "suppression matches the allowed rule" `Quick
           test_suppression_filter;
         Alcotest.test_case "ANALYSIS.json schema and shape" `Quick
           test_report_schema;
         Alcotest.test_case "baseline JSON roundtrip" `Quick
           test_baseline_roundtrip;
         Alcotest.test_case "doc-table name extraction" `Quick test_doc_parsing;
+      ] );
+    ( "lint",
+      [
+        Alcotest.test_case "R1: unsorted fold flagged" `Quick test_unsorted_fold;
+        Alcotest.test_case "R1: sorted fold passes" `Quick test_sorted_fold_ok;
+        Alcotest.test_case "R2: poly compare flagged" `Quick test_poly_hash;
+        Alcotest.test_case "R2: typed compare passes" `Quick test_typed_compare_ok;
+        Alcotest.test_case "R3: wall clock flagged" `Quick test_wall_clock;
+        Alcotest.test_case "suppression: audited allows work" `Quick
+          test_suppression_ok;
+        Alcotest.test_case "suppression: multi-line comment blocks" `Quick
+          test_multiline_allow;
+        Alcotest.test_case "suppression: unaudited allows reported" `Quick
+          test_bad_suppression;
+        Alcotest.test_case "R4: stdout in lib flagged" `Quick test_stdout_in_lib;
+        Alcotest.test_case "R4: stdout outside lib passes" `Quick
+          test_stdout_outside_lib_ok;
+        Alcotest.test_case "R4: printf through open and alias" `Quick
+          test_stdout_through_open;
+        Alcotest.test_case "R5: missing mli flagged" `Quick test_missing_mli;
+        Alcotest.test_case "directory pass aggregates and sorts" `Quick
+          test_tree_aggregates;
       ] );
   ]

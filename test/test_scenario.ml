@@ -94,6 +94,28 @@ let test_deterministic_runs () =
     o1.Mail.Scenario.report.Mail.Evaluation.messages_sent
     o2.Mail.Scenario.report.Mail.Evaluation.messages_sent
 
+let test_double_run_identical () =
+  let spec =
+    {
+      Mail.Scenario.default_spec with
+      duration = 1500.;
+      mail_count = 100;
+      check_period = 80.;
+      faults = Some (Netsim.Fault.parse "crash:0.002/150");
+    }
+  in
+  let run () = Mail.Scenario.run_syntax (Netsim.Topology.paper_fig1 ()) spec in
+  let o1 = run () and o2 = run () in
+  let metrics o =
+    Telemetry.Json.to_string
+      (Telemetry.Registry.to_json o.Mail.Scenario.metrics)
+  in
+  let ledger o =
+    Telemetry.Json.to_string (Mail.Ledger.verdict_to_json o.Mail.Scenario.ledger)
+  in
+  Alcotest.(check string) "metrics export byte-identical" (metrics o1) (metrics o2);
+  Alcotest.(check string) "ledger verdict byte-identical" (ledger o1) (ledger o2)
+
 let hier_site seed =
   let rng = Dsim.Rng.create seed in
   let g = Netsim.Topology.hierarchical ~rng Netsim.Topology.default_hierarchy in
@@ -220,5 +242,7 @@ let suite =
         Alcotest.test_case "large hierarchy stress" `Slow test_large_hierarchy_stress;
         Alcotest.test_case "mail over the 1977 ARPANET" `Slow test_arpanet_mail;
         Alcotest.test_case "replication" `Slow test_scenario_replicate;
+        Alcotest.test_case "double-run: metrics and ledger identical" `Slow
+          test_double_run_identical;
       ] );
   ]
